@@ -3,7 +3,10 @@
 // packet based on the AES algorithm and wraps it with an AH header").
 //
 // Encrypt direction: AES-CTR over the payload, AH inserted after the IP
-// header with a CBC-MAC ICV over the encrypted payload.
+// header with a CBC-MAC ICV over the encrypted payload. The CTR nonce names
+// the tunnel (its addresses); the counter starts at seq << 32, where seq is
+// the packet's AH sequence number, so no two packets of a tunnel share
+// keystream.
 // Decrypt direction (VpnDecrypt): verifies the ICV, removes the AH and
 // restores the plaintext — used by round-trip tests.
 #pragma once
@@ -23,12 +26,10 @@ class Vpn : public NetworkFunction {
   std::string_view type_name() const override { return "vpn"; }
 
   NfVerdict process(PacketView& packet) override {
-    // Tunnel identity comes from the addresses.
-    const u64 nonce = (static_cast<u64>(packet.src_ip()) << 32) |
-                      packet.dst_ip();
+    const u32 seq = ++sequence_;
     auto body = packet.mutable_payload();
-    aes_.ctr_crypt(nonce ^ nonce_salt_, body);
-    AhView ah = packet.add_ah_header(spi_, ++sequence_);
+    aes_.ctr_crypt(tunnel_nonce(packet), body, counter0(seq));
+    AhView ah = packet.add_ah_header(spi_, seq);
     const auto mac = aes_.icv({body.data(), body.size()});
     std::memcpy(ah.icv(), mac.data(), mac.size());
     return NfVerdict::kPass;
@@ -52,6 +53,14 @@ class Vpn : public NetworkFunction {
                                               0x3c};
 
  protected:
+  u64 tunnel_nonce(const PacketView& packet) const noexcept {
+    return ((static_cast<u64>(packet.src_ip()) << 32) | packet.dst_ip()) ^
+           nonce_salt_;
+  }
+  static constexpr u64 counter0(u32 seq) noexcept {
+    return static_cast<u64>(seq) << 32;
+  }
+
   Aes128 aes_;
   u32 spi_;
   u32 sequence_ = 0;
@@ -70,14 +79,13 @@ class VpnDecrypt final : public Vpn {
     auto body = packet.mutable_payload();
     const auto mac = aes_.icv({body.data(), body.size()});
     AhView ah = packet.ah();
-    if (std::memcmp(ah.icv(), mac.data(), mac.size()) != 0) {
+    if (!constant_time_equal(ah.icv(), mac.data(), mac.size())) {
       return NfVerdict::kDrop;
     }
+    const u32 seq = ah.sequence();
     packet.remove_ah_header();
-    const u64 nonce = (static_cast<u64>(packet.src_ip()) << 32) |
-                      packet.dst_ip();
     auto plain = packet.mutable_payload();
-    aes_.ctr_crypt(nonce ^ nonce_salt_, plain);
+    aes_.ctr_crypt(tunnel_nonce(packet), plain, counter0(seq));
     return NfVerdict::kPass;
   }
 

@@ -27,4 +27,9 @@ constexpr void store_be32(u8* p, u32 v) noexcept {
   p[3] = static_cast<u8>(v);
 }
 
+constexpr void store_be64(u8* p, u64 v) noexcept {
+  store_be32(p, static_cast<u32>(v >> 32));
+  store_be32(p + 4, static_cast<u32>(v));
+}
+
 }  // namespace nfp

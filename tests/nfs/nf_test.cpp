@@ -164,6 +164,57 @@ TEST_F(NfTest, VpnRoundTripsWithDecrypt) {
   pool_.release(p);
 }
 
+TEST_F(NfTest, VpnRoundTripsEveryFrameSize) {
+  Vpn enc;
+  VpnDecrypt dec;
+  for (std::size_t size = 64; size <= 1514; ++size) {
+    PacketSpec spec;
+    spec.frame_size = size;
+    spec.payload_byte = static_cast<u8>(size);
+    Packet* p = make(spec);
+    ASSERT_NE(p, nullptr);
+    const std::vector<u8> original(p->data(), p->data() + p->length());
+    PacketView v(*p);
+    ASSERT_EQ(enc.process(v), NfVerdict::kPass) << "size " << size;
+    PacketView v2(*p);
+    ASSERT_EQ(dec.process(v2), NfVerdict::kPass) << "size " << size;
+    ASSERT_EQ(p->length(), original.size());
+    EXPECT_EQ(0, std::memcmp(p->data(), original.data(), original.size()))
+        << "size " << size;
+    pool_.release(p);
+  }
+}
+
+// Two packets of one flow with the same payload must not share keystream:
+// the CTR counter starts at the AH sequence number.
+TEST_F(NfTest, VpnNeverReusesKeystreamWithinAFlow) {
+  Vpn enc;
+  VpnDecrypt dec;
+  PacketSpec spec;
+  spec.frame_size = 300;
+  Packet* p1 = make(spec);
+  Packet* p2 = make(spec);
+  const std::vector<u8> original(p1->data(), p1->data() + p1->length());
+  PacketView v1(*p1), v2(*p2);
+  ASSERT_EQ(enc.process(v1), NfVerdict::kPass);
+  ASSERT_EQ(enc.process(v2), NfVerdict::kPass);
+  EXPECT_EQ(v1.ah().sequence(), 1u);
+  EXPECT_EQ(v2.ah().sequence(), 2u);
+  const auto c1 = v1.payload();
+  const auto c2 = v2.payload();
+  ASSERT_EQ(c1.size(), c2.size());
+  EXPECT_NE(0, std::memcmp(c1.data(), c2.data(), c1.size()));
+
+  // Decrypt out of order: each packet carries its own counter start.
+  for (Packet* p : {p2, p1}) {
+    PacketView v(*p);
+    ASSERT_EQ(dec.process(v), NfVerdict::kPass);
+    ASSERT_EQ(p->length(), original.size());
+    EXPECT_EQ(0, std::memcmp(p->data(), original.data(), original.size()));
+    pool_.release(p);
+  }
+}
+
 TEST_F(NfTest, VpnDecryptRejectsTamperedPacket) {
   Vpn enc;
   VpnDecrypt dec;
