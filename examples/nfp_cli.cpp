@@ -1,93 +1,28 @@
-// nfp_cli: command-line front end to the orchestrator.
+// nfp_cli: command-line front end to the orchestrator (compile, tables, dot,
+// plan, stats), the simulated dataplane (run, profile) and the sharded live
+// dataplane on real threads (live, scalability, latency, flows), plus `top`,
+// a terminal dashboard over a `--serve`'d run.
 //
-//   nfp_cli compile <policy-file>         compile and print the graph
-//   nfp_cli tables <policy-file>          print the Fig-4 dataplane tables
-//   nfp_cli dot <policy-file>             print Graphviz for the graph
-//   nfp_cli plan <policy-file> [cores]    partition across servers (§7)
-//   nfp_cli stats                         print the §4.3 pair statistics
-//   nfp_cli run <policy-file> [options]   run traffic through the dataplane
-//   nfp_cli live <policy-file> [options]  run the policy on the sharded
-//                                         multi-core live dataplane (real
-//                                         threads, RSS flow sharding)
-//   nfp_cli profile <policy-file> [opts]  critical-path bottleneck report
-//   nfp_cli top [--port=P] [options]      live terminal dashboard against a
-//                                         --serve'd run (pps, per-NF p99,
-//                                         utilization, bottleneck share,
-//                                         per-shard cycle attribution)
-//   nfp_cli scalability [policy] [opts]   sweep shard counts and attribute
-//                                         every lost packet-per-second to
-//                                         a cycle bucket (useful/starved/
-//                                         ring/pool/merge/classifier-miss)
-//   nfp_cli latency [policy] [opts]       the paper's core experiment live:
-//                                         run the NFP-parallel graph and its
-//                                         flattened sequential chain on the
-//                                         sharded dataplane and print the
-//                                         stage-resolved latency-reduction
-//                                         table (p50/p99/p99.9 per stage)
-//   nfp_cli flows [policy] [opts]         run a zipf elephant/mice workload
-//                                         and print the flow observatory's
-//                                         merged top-K heavy hitters, flow
-//                                         churn and per-reason drop
-//                                         attribution (--pool=N for a
-//                                         tail-drop overload demo)
-//
-// `run` options (telemetry):
-//   --metrics          per-component utilization/latency report
-//   --trace-every=N    trace every Nth packet; prints the first traced
-//                      packet's span timeline
-//   --json             metrics as JSON
-//   --prometheus       metrics in Prometheus text format
-//   --packets=N        packets to inject (default 2000)
-//   --rate=PPS         injection rate (default 10000)
-//   --size=BYTES       frame size (default 128)
-//
-// `live` options:
-//   --shards=N         shard count (default 0 = one per online CPU)
-//   --packets=N        frames per wave (default 20000)
-//   --flows=N          distinct 5-tuples in the generated traffic
-//   --skew=uniform|zipf  flow-popularity model (default uniform)
-//   --size=BYTES       frame size (default 256)
-//   --serve=PORT       stream waves forever and serve /metrics,
-//                      /timeseries.json, /latency.json, /healthz —
-//                      `nfp_cli top` then shows per-shard pps, core
-//                      utilization and stage latency live
-//   --lat-every=N      sample every-Nth flow for stage latency (default 8
-//                      under --serve, 0 = off otherwise)
-//   --scenario=NAME    named traffic preset instead of the generated wave:
-//                      bursty | elephant-mice | syn-flood | ddos (ddos also
-//                      installs a CT drop rule for the attack subnet)
-//   --rules=N          preload N synthetic masked CT rules (classifier
-//                      scale testing; verdicts beyond graph range clamp)
-//
-// `profile` options (in addition to --packets/--rate/--size/--json):
-//   --plane=nfp|onv|rtc  which dataplane to profile (default nfp; onv/rtc
-//                        flatten the graph into a sequential chain)
-//   --trace-every=N      sample every Nth packet (default 1: all)
-//   --watch=MS           print interim bottleneck lines every MS of
-//                        simulated time while the run progresses
-//
-// `--serve=PORT` (run and profile) keeps the dataplane alive after the
-// first wave, injecting `--packets` more packets every ~200ms and serving
-// the live observability endpoints on 127.0.0.1:PORT — /metrics,
-// /metrics.json, /timeseries.json, /profile.json, /recorder.json,
-// /trace.json (load in ui.perfetto.dev) and /healthz. Ctrl-C stops.
-//
-// Policy files use the text format of src/policy/parser.hpp.
+// Every subcommand declares its flags once, as an option table; `nfp_cli`
+// without arguments prints the usage generated from those tables. Policy
+// files use the text format of src/policy/parser.hpp.
 #include <algorithm>
 #include <array>
-#include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "baseline/onv_dataplane.hpp"
@@ -118,52 +53,281 @@ namespace {
 
 using namespace nfp;
 
+// --- option tables -------------------------------------------------------
+
+// One row of a subcommand's option table: a bare `--name` (kSwitch) or
+// `--name=value`. parse_flags() walks argv against the rows and usage()
+// prints them, so each flag is declared exactly once.
+struct Flag {
+  enum Kind { kU64, kPort, kEnum, kList, kSwitch };
+  const char* name;
+  Kind kind;
+  std::variant<u64*, std::optional<u64>*, std::string*,
+               std::vector<std::size_t>*, bool*>
+      target;
+  u64 min = 0;                            // kU64 and every kList entry
+  std::vector<std::string> choices = {};  // kEnum
+};
+using Flags = std::vector<Flag>;
+
+// A whole decimal string: no sign, blank, trailing byte or overflow.
+std::optional<u64> parse_u64(std::string_view text) {
+  u64 v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return v;
+}
+
+// Stores `value` through `flag`; false when it is malformed or out of range.
+bool assign(const Flag& flag, std::string_view value) {
+  switch (flag.kind) {
+    case Flag::kSwitch:
+      *std::get<bool*>(flag.target) = true;
+      return true;
+    case Flag::kU64:
+    case Flag::kPort: {
+      const auto v = parse_u64(value);
+      if (!v || *v < flag.min || (flag.kind == Flag::kPort && *v > 65535)) {
+        return false;
+      }
+      if (auto* t = std::get_if<u64*>(&flag.target)) {
+        **t = *v;
+      } else {
+        *std::get<std::optional<u64>*>(flag.target) = *v;
+      }
+      return true;
+    }
+    case Flag::kEnum:
+      if (std::ranges::find(flag.choices, value) == flag.choices.end()) {
+        return false;
+      }
+      *std::get<std::string*>(flag.target) = std::string(value);
+      return true;
+    case Flag::kList: {
+      std::vector<std::size_t> items;
+      for (std::size_t start = 0;;) {
+        const std::size_t comma = value.find(',', start);
+        const auto v = parse_u64(value.substr(start, comma - start));
+        if (!v || *v < flag.min) return false;
+        items.push_back(static_cast<std::size_t>(*v));
+        if (comma == std::string_view::npos) break;
+        start = comma + 1;
+      }
+      *std::get<std::vector<std::size_t>*>(flag.target) = std::move(items);
+      return true;
+    }
+  }
+  return false;
+}
+
+// The value placeholder usage() and parse errors show.
+std::string value_syntax(const Flag& flag) {
+  switch (flag.kind) {
+    case Flag::kU64: return "N";
+    case Flag::kPort: return "PORT";
+    case Flag::kList: return "N,N,...";
+    case Flag::kSwitch: return "";
+    case Flag::kEnum: break;
+  }
+  std::string out;
+  for (const std::string& c : flag.choices) {
+    out += (out.empty() ? "" : "|") + c;
+  }
+  return out;
+}
+
+// Parses argv[first..]: every argument must name a row of `flags`, with a
+// value exactly when the row takes one. Prints the offending argument and
+// returns false otherwise; the caller then prints usage and exits 2.
+bool parse_flags(const Flags& flags, int argc, char** argv, int first) {
+  for (int i = first; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const std::size_t eq = arg.find('=');
+    const bool has_value = eq != std::string_view::npos;
+    const auto row = std::ranges::find_if(flags, [&](const Flag& f) {
+      return arg.substr(0, eq) == f.name &&
+             has_value == (f.kind != Flag::kSwitch);
+    });
+    if (row == flags.end()) {
+      std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
+      return false;
+    }
+    if (!assign(*row, has_value ? arg.substr(eq + 1) : "")) {
+      const std::string min =
+          row->min > 0 ? " with N >= " + std::to_string(row->min) : "";
+      std::fprintf(stderr, "bad value in '%s': want %s=%s%s\n", argv[i],
+                   row->name, value_syntax(*row).c_str(), min.c_str());
+      return false;
+    }
+  }
+  return true;
+}
+
+// The simulated dataplane (run, profile): one wave of `packets` frames at
+// `rate` pps, or with --serve a fresh wave every ~200ms.
+struct SimArgs {
+  u64 packets = 2'000;
+  u64 rate = 10'000;
+  u64 size = 128;
+  u64 serve = 0;
+  bool json = false;
+};
+
+struct RunArgs : SimArgs {
+  bool metrics = false;
+  bool prometheus = false;
+  u64 trace_every = 0;
+  Flags flags() {
+    return {{"--metrics", Flag::kSwitch, &metrics},
+            {"--trace-every", Flag::kU64, &trace_every},
+            {"--json", Flag::kSwitch, &json},
+            {"--prometheus", Flag::kSwitch, &prometheus},
+            {"--packets", Flag::kU64, &packets},
+            {"--rate", Flag::kU64, &rate},
+            {"--size", Flag::kU64, &size},
+            {"--serve", Flag::kPort, &serve}};
+  }
+};
+
+struct ProfileArgs : SimArgs {
+  std::string plane = "nfp";
+  u64 trace_every = 1;
+  bool watch = false;  // bare --watch: interim lines every 10ms
+  u64 watch_ms = 0;
+  Flags flags() {
+    return {{"--plane", Flag::kEnum, &plane, 0, {"nfp", "onv", "rtc"}},
+            {"--packets", Flag::kU64, &packets},
+            {"--rate", Flag::kU64, &rate},
+            {"--size", Flag::kU64, &size},
+            {"--trace-every", Flag::kU64, &trace_every, 1},
+            {"--json", Flag::kSwitch, &json},
+            {"--watch", Flag::kSwitch, &watch},
+            {"--watch", Flag::kU64, &watch_ms},
+            {"--serve", Flag::kPort, &serve}};
+  }
+};
+
+struct TopArgs {
+  u64 port = 9100;
+  u64 interval = 1000;
+  u64 iterations = 0;  // 0 = until Ctrl-C
+  Flags flags() {
+    return {{"--port", Flag::kPort, &port},
+            {"--interval", Flag::kU64, &interval},
+            {"--iterations", Flag::kU64, &iterations}};
+  }
+};
+
+// What the live commands share: the generated traffic they feed (`packets`
+// frames of `size` bytes over `flows` 5-tuples with uniform or zipf
+// popularity), --mode and --json.
+struct TrafficArgs {
+  u64 packets = 20'000;
+  u64 flows = 64;
+  u64 size = 256;
+  std::string skew = "uniform";
+  std::string mode = "auto";
+  bool json = false;
+  Flag mode_flag() {
+    return {"--mode", Flag::kEnum, &mode, 0, {"pipelined", "rtc", "auto"}};
+  }
+  Flags with_traffic(std::initializer_list<Flag> rest) {
+    Flags out = {{"--packets", Flag::kU64, &packets, 1},
+                 {"--flows", Flag::kU64, &flows, 1},
+                 {"--size", Flag::kU64, &size},
+                 {"--skew", Flag::kEnum, &skew, 0, {"uniform", "zipf"}}};
+    out.insert(out.end(), rest);
+    return out;
+  }
+};
+
+struct LiveArgs : TrafficArgs {
+  u64 shards = 0;  // 0 = one per online CPU
+  u64 serve = 0;
+  u64 rules = 0;
+  std::optional<u64> lat_every;  // default 8 under --serve, off otherwise
+  std::string scenario;
+  Flags flags() {
+    return with_traffic({{"--shards", Flag::kU64, &shards},
+                         {"--serve", Flag::kPort, &serve},
+                         mode_flag(),
+                         {"--scenario", Flag::kEnum, &scenario, 0,
+                          scenario_names()},
+                         {"--rules", Flag::kU64, &rules},
+                         {"--lat-every", Flag::kU64, &lat_every}});
+  }
+};
+
+struct ScalabilityArgs : TrafficArgs {
+  std::vector<std::size_t> shard_counts = {1, 2, 4};
+  Flags flags() {
+    return with_traffic({{"--shards", Flag::kList, &shard_counts, 1},
+                         {"--json", Flag::kSwitch, &json},
+                         mode_flag()});
+  }
+};
+
+struct LatencyArgs : TrafficArgs {
+  u64 shards = 2;
+  u64 sample_every = 8;
+  Flags flags() {
+    return with_traffic({{"--shards", Flag::kU64, &shards, 1},
+                         {"--sample-every", Flag::kU64, &sample_every, 1},
+                         {"--json", Flag::kSwitch, &json},
+                         mode_flag()});
+  }
+};
+
+struct FlowsArgs : TrafficArgs {
+  FlowsArgs() {
+    packets = 50'000;
+    flows = 256;
+    skew = "zipf";
+  }
+  u64 shards = 2;
+  u64 top = 10;
+  u64 pool = 0;  // != 0: N-slot tail-drop ingest (overload demo)
+  Flags flags() {
+    return with_traffic({{"--shards", Flag::kU64, &shards},
+                         {"--top", Flag::kU64, &top, 1},
+                         {"--pool", Flag::kU64, &pool},
+                         {"--json", Flag::kSwitch, &json}});
+  }
+};
+
+// `nfp_cli <command> [flags]` wrapped at 80 columns.
+void print_synopsis(const char* command, const Flags& flags) {
+  std::string line = std::string("       nfp_cli ") + command;
+  for (const Flag& f : flags) {
+    std::string item = std::string(" [") + f.name;
+    if (f.kind != Flag::kSwitch) item += "=" + value_syntax(f);
+    item += "]";
+    if (line.size() + item.size() > 79) {
+      std::fprintf(stderr, "%s\n", line.c_str());
+      line = "               ";
+    }
+    line += item;
+  }
+  std::fprintf(stderr, "%s\n", line.c_str());
+}
+
 int usage() {
   std::fprintf(stderr,
-               "usage: nfp_cli compile|tables|dot|plan <policy-file> "
-               "[cores]\n       nfp_cli stats\n"
-               "       nfp_cli run <policy-file> [--metrics] "
-               "[--trace-every=N] [--json]\n"
-               "               [--prometheus] [--packets=N] [--rate=PPS] "
-               "[--size=BYTES]\n"
-               "               [--serve=PORT]\n"
-               "       nfp_cli live <policy-file> [--shards=N] [--packets=N] "
-               "[--flows=N]\n"
-               "               [--skew=uniform|zipf] [--size=BYTES] "
-               "[--serve=PORT]\n"
-               "               [--mode=pipelined|rtc|auto] "
-               "[--scenario=NAME] [--rules=N]\n"
-               "       nfp_cli profile <policy-file> [--plane=nfp|onv|rtc] "
-               "[--packets=N]\n"
-               "               [--rate=PPS] [--size=BYTES] [--trace-every=N] "
-               "[--json] [--watch=MS]\n"
-               "               [--serve=PORT]\n"
-               "       nfp_cli top [--port=P] [--interval=MS] "
-               "[--iterations=N]\n"
-               "       nfp_cli scalability [policy-file] [--shards=1,2,4] "
-               "[--packets=N]\n"
-               "               [--flows=N] [--skew=uniform|zipf] "
-               "[--size=BYTES] [--json]\n"
-               "               [--mode=pipelined|rtc|auto]\n"
-               "       nfp_cli latency [policy-file] [--shards=N] "
-               "[--packets=N] [--flows=N]\n"
-               "               [--skew=uniform|zipf] [--size=BYTES] "
-               "[--sample-every=N] [--json]\n"
-               "               [--mode=pipelined|rtc|auto]\n"
-               "       nfp_cli flows [policy-file] [--shards=N] "
-               "[--packets=N] [--flows=N]\n"
-               "               [--skew=uniform|zipf] [--top=K] [--pool=N] "
-               "[--json]\n");
+               "usage: nfp_cli compile|tables|dot <policy-file>\n"
+               "       nfp_cli plan <policy-file> [cores]\n"
+               "       nfp_cli stats\n");
+  print_synopsis("run <policy-file>", RunArgs().flags());
+  print_synopsis("profile <policy-file>", ProfileArgs().flags());
+  print_synopsis("live <policy-file>", LiveArgs().flags());
+  print_synopsis("top", TopArgs().flags());
+  print_synopsis("scalability [policy-file]", ScalabilityArgs().flags());
+  print_synopsis("latency [policy-file]", LatencyArgs().flags());
+  print_synopsis("flows [policy-file]", FlowsArgs().flags());
   return 2;
 }
 
-// Parses `--name=value` into out; returns true when argv matches `name`.
-bool flag_value(const char* arg, const char* name, u64* out) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *out = std::strtoull(arg + len + 1, nullptr, 10);
-  return true;
-}
+// --- serving -------------------------------------------------------------
 
 // --serve / top run until interrupted.
 volatile std::sig_atomic_t g_stop = 0;
@@ -183,8 +347,90 @@ void interruptible_sleep_ms(u64 ms) {
   }
 }
 
-// Everything serve mode needs from whichever dataplane the caller built.
-struct ServeSources {
+struct ServeHooks {
+  // Runs wave n. The serve mutex is held by the collector and the HTTP
+  // handlers; a wave that creates series or records spans takes it too.
+  std::function<void(u64 wave, std::mutex& mu)> wave;
+  // Adds derived series to the collector before it starts.
+  std::function<void(telemetry::TimeseriesCollector&)> probes;
+  // Announces the bound port.
+  std::function<void(unsigned port)> banner;
+  telemetry::HealthSampler* sampler = nullptr;  // runs while serving
+};
+
+// Serves the standard endpoints over `sources` plus a 500ms timeseries
+// collector on 127.0.0.1:port, running a wave every ~200ms until SIGINT or
+// SIGTERM. The first wave runs before the server comes up: it primes every
+// metric series, so probes can discover components, and seeds the tracer.
+int serve(telemetry::MetricsRegistry& registry,
+          telemetry::EndpointSources sources, u64 port,
+          const ServeHooks& hooks) {
+  std::mutex mu;
+  hooks.wave(0, mu);
+
+  telemetry::TimeseriesCollector::Options ts_options;
+  ts_options.period_ms = 500;
+  telemetry::TimeseriesCollector collector(registry, ts_options);
+  collector.publish_derived(&registry);
+  collector.set_mutex(&mu);
+  hooks.probes(collector);
+
+  telemetry::StatsServer server;
+  sources.registry = &registry;
+  sources.timeseries = &collector;
+  sources.mu = &mu;
+  telemetry::register_standard_endpoints(server, sources);
+  telemetry::StatsServer::Options server_options;
+  server_options.port = static_cast<std::uint16_t>(port);
+  if (const Status started = server.start(server_options); !started) {
+    std::fprintf(stderr, "error: %s\n", started.message().c_str());
+    return 1;
+  }
+  hooks.banner(server.port());
+  std::fflush(stdout);
+
+  install_stop_handler();
+  if (hooks.sampler != nullptr) hooks.sampler->start();
+  collector.start();
+  u64 waves = 1;
+  while (g_stop == 0) {
+    hooks.wave(waves++, mu);
+    interruptible_sleep_ms(200);
+  }
+  collector.stop();
+  if (hooks.sampler != nullptr) hooks.sampler->stop();
+  server.stop();
+  std::printf("\nstopped after %llu waves; served %llu requests\n",
+              static_cast<unsigned long long>(waves),
+              static_cast<unsigned long long>(server.requests_served()));
+  return 0;
+}
+
+// Pass-all firewalls: synthetic ACL rules would drop traffic-dependent
+// subsets of the flows and obscure the per-component view.
+std::unique_ptr<NetworkFunction> pass_all_factory(const StageNf& nf) {
+  if (nf.name == "firewall") {
+    AclTable acl;
+    acl.set_default_action(AclAction::kPass);
+    return std::make_unique<Firewall>(std::move(acl));
+  }
+  return make_builtin_nf(nf.name, static_cast<u64>(nf.instance_id) + 1);
+}
+
+// The graph's NFs as one sequential chain: the ONV/RTC view of a policy.
+std::vector<std::string> nf_chain(const ServiceGraph& graph) {
+  std::vector<std::string> chain;
+  for (const Segment& seg : graph.segments()) {
+    for (const StageNf& nf : seg.nfs) chain.push_back(nf.name);
+  }
+  return chain;
+}
+
+// --- nfp_cli run / profile: the simulated dataplane ----------------------
+
+// Whichever simulated dataplane run/profile built, seen through what a
+// traffic wave and the serve loop need.
+struct SimPlane {
   sim::Simulator* sim = nullptr;
   telemetry::MetricsRegistry* metrics = nullptr;
   telemetry::Tracer* tracer = nullptr;  // null disables /profile + /trace
@@ -194,205 +440,122 @@ struct ServeSources {
   std::function<void()> snapshot;  // refresh point-in-time gauges
 };
 
-// Serve mode: inject `packets` per wave forever, with the observability
-// plane live on 127.0.0.1:port. The mutex serializes the wave loop (the
-// only structural mutator of the registry and tracer ring) against the
-// stats-server handlers and the collector tick.
-int serve_loop(const ServeSources& src, u64 port, u64 packets,
-               double rate_pps, std::size_t frame_size) {
-  std::mutex mu;
+template <class Dataplane>
+SimPlane sim_plane(sim::Simulator& sim, Dataplane& dp,
+                   telemetry::FlightRecorder* recorder) {
+  return {&sim, &dp.metrics(), dp.tracer(), recorder, &dp.pool(),
+          [&dp](Packet* p) { dp.inject(p); },
+          [&dp] { dp.snapshot_metrics(); }};
+}
 
-  telemetry::Watchdog watchdog(*src.recorder);
-  watchdog.set_registry(src.metrics);
-  watchdog.watch_drop_counter("dataplane", [metrics = src.metrics] {
+// Injects wave n (seed 42 + n, so flows vary across waves) and runs the
+// simulator dry; `before_run` schedules extra events first.
+void run_wave(const SimPlane& plane, const SimArgs& a, u64 wave,
+              const std::function<void()>& before_run = {}) {
+  TrafficConfig traffic;
+  traffic.fixed_size = static_cast<std::size_t>(a.size);
+  traffic.rate_pps = static_cast<double>(a.rate);
+  traffic.packets = a.packets;
+  traffic.seed = 42 + wave;
+  traffic.metrics = plane.metrics;
+  TrafficGenerator gen(*plane.sim, *plane.pool, traffic);
+  gen.start([&](Packet* p) { plane.inject(p); });
+  if (before_run) before_run();
+  plane.sim->run();
+  plane.snapshot();
+}
+
+// One critical-path report per collector tick feeds both the merge-wait
+// share and the per-NF bottleneck shares (probes run in registration order,
+// so the cache-refreshing probe goes first).
+void add_critical_path_probes(telemetry::TimeseriesCollector& collector,
+                              const telemetry::Tracer& tracer,
+                              const telemetry::MetricsRegistry& metrics) {
+  auto shares = std::make_shared<std::map<std::string, double>>();
+  collector.add_probe("merge_wait_share", {}, [&tracer, shares] {
+    const telemetry::CriticalPathReport rep =
+        telemetry::CriticalPathProfiler(tracer).report();
+    shares->clear();
+    for (const telemetry::NfShare& nf : rep.nfs) {
+      (*shares)[nf.component] = rep.bottleneck_share(nf);
+    }
+    return rep.stage_fraction(telemetry::Stage::kMergeWait);
+  });
+  std::vector<std::string> components;
+  for (const auto& [key, h] : metrics.histograms()) {
+    if (key.name != "nf_service_ns") continue;
+    for (const auto& [k, v] : key.labels) {
+      if (k == "nf") components.push_back(v);
+    }
+  }
+  std::sort(components.begin(), components.end());
+  components.erase(std::unique(components.begin(), components.end()),
+                   components.end());
+  for (const std::string& component : components) {
+    collector.add_probe("bottleneck_share", {{"nf", component}},
+                        [shares, component] {
+                          const auto it = shares->find(component);
+                          return it == shares->end() ? 0.0 : it->second;
+                        });
+  }
+}
+
+// run/profile --serve: a fresh wave every ~200ms with the observability
+// plane live. Waves hold the serve mutex: they are the only structural
+// mutator of the registry and the tracer ring.
+int serve_sim(const SimPlane& plane, const SimArgs& a) {
+  telemetry::Watchdog watchdog(*plane.recorder);
+  watchdog.set_registry(plane.metrics);
+  watchdog.watch_drop_counter("dataplane", [metrics = plane.metrics] {
     u64 total = 0;
     for (const auto& [key, c] : metrics->counters()) {
       if (key.name == "packets_dropped_total") total += c.value.load();
     }
     return total;
   });
-  watchdog.watch_pool("pool", [pool = src.pool] { return pool->in_use(); },
-                      src.pool->capacity());
+  watchdog.watch_pool("pool", [pool = plane.pool] { return pool->in_use(); },
+                      plane.pool->capacity());
 
-  // First wave before the server comes up: primes every metric series (so
-  // the per-NF probes below can discover components) and seeds the tracer.
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    TrafficConfig traffic;
-    traffic.fixed_size = frame_size;
-    traffic.rate_pps = rate_pps;
-    traffic.packets = packets;
-    traffic.metrics = src.metrics;
-    TrafficGenerator gen(*src.sim, *src.pool, traffic);
-    gen.start([&](Packet* p) { src.inject(p); });
-    src.sim->run();
-    src.snapshot();
-    watchdog.evaluate();
-  }
-
-  telemetry::TimeseriesCollector::Options ts_options;
-  ts_options.period_ms = 500;
-  telemetry::TimeseriesCollector collector(*src.metrics, ts_options);
-  collector.publish_derived(src.metrics);
-  collector.set_mutex(&mu);
-  if (src.tracer != nullptr) {
-    // One critical-path report per tick feeds both the merge-wait share
-    // and the per-NF bottleneck shares (probes run in registration order,
-    // so the cache-refreshing probe goes first).
-    auto shares = std::make_shared<std::map<std::string, double>>();
-    collector.add_probe(
-        "merge_wait_share", {}, [tracer = src.tracer, shares] {
-          const telemetry::CriticalPathReport rep =
-              telemetry::CriticalPathProfiler(*tracer).report();
-          shares->clear();
-          for (const telemetry::NfShare& nf : rep.nfs) {
-            (*shares)[nf.component] = rep.bottleneck_share(nf);
-          }
-          return rep.stage_fraction(telemetry::Stage::kMergeWait);
-        });
-    std::vector<std::string> components;
-    for (const auto& [key, h] : src.metrics->histograms()) {
-      if (key.name != "nf_service_ns") continue;
-      for (const auto& [k, v] : key.labels) {
-        if (k == "nf") components.push_back(v);
-      }
-    }
-    std::sort(components.begin(), components.end());
-    components.erase(std::unique(components.begin(), components.end()),
-                     components.end());
-    for (const std::string& component : components) {
-      collector.add_probe("bottleneck_share", {{"nf", component}},
-                          [shares, component] {
-                            const auto it = shares->find(component);
-                            return it == shares->end() ? 0.0 : it->second;
-                          });
-    }
-  }
-
-  telemetry::StatsServer server;
   telemetry::EndpointSources sources;
-  sources.registry = src.metrics;
-  sources.tracer = src.tracer;
-  sources.recorder = src.recorder;
+  sources.tracer = plane.tracer;
+  sources.recorder = plane.recorder;
   sources.watchdog = &watchdog;
-  sources.timeseries = &collector;
-  sources.mu = &mu;
-  telemetry::register_standard_endpoints(server, sources);
-
-  telemetry::StatsServer::Options server_options;
-  server_options.port = static_cast<std::uint16_t>(port);
-  const Status started = server.start(server_options);
-  if (!started) {
-    std::fprintf(stderr, "error: %s\n", started.message().c_str());
-    return 1;
-  }
-  std::printf(
-      "serving on http://127.0.0.1:%u — /metrics /metrics.json "
-      "/timeseries.json\n/profile.json /recorder.json /trace.json "
-      "/healthz — Ctrl-C to stop\n",
-      static_cast<unsigned>(server.port()));
-  std::fflush(stdout);
-
-  install_stop_handler();
-  collector.start();
-  u64 waves = 1;
-  while (g_stop == 0) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      TrafficConfig traffic;
-      traffic.fixed_size = frame_size;
-      traffic.rate_pps = rate_pps;
-      traffic.packets = packets;
-      traffic.seed = 42 + waves;  // vary flows across waves
-      traffic.metrics = src.metrics;
-      TrafficGenerator gen(*src.sim, *src.pool, traffic);
-      gen.start([&](Packet* p) { src.inject(p); });
-      src.sim->run();
-      src.snapshot();
-      watchdog.evaluate();
+  ServeHooks hooks;
+  hooks.wave = [&](u64 wave, std::mutex& mu) {
+    std::lock_guard<std::mutex> lock(mu);
+    run_wave(plane, a, wave);
+    watchdog.evaluate();
+  };
+  hooks.probes = [&](telemetry::TimeseriesCollector& collector) {
+    if (plane.tracer != nullptr) {
+      add_critical_path_probes(collector, *plane.tracer, *plane.metrics);
     }
-    ++waves;
-    interruptible_sleep_ms(200);
-  }
-
-  collector.stop();
-  server.stop();
-  std::printf("\nstopped after %llu waves; served %llu requests\n",
-              static_cast<unsigned long long>(waves),
-              static_cast<unsigned long long>(server.requests_served()));
-  return 0;
+  };
+  hooks.banner = [](unsigned port) {
+    std::printf(
+        "serving on http://127.0.0.1:%u — /metrics /metrics.json "
+        "/timeseries.json\n/profile.json /recorder.json /trace.json "
+        "/healthz — Ctrl-C to stop\n",
+        port);
+  };
+  return serve(*plane.metrics, sources, a.serve, hooks);
 }
 
-int run_dataplane(const ServiceGraph& graph, int argc, char** argv) {
-  bool want_metrics = false;
-  bool want_json = false;
-  bool want_prometheus = false;
-  u64 trace_every = 0;
-  u64 packets = 2'000;
-  u64 rate_pps = 10'000;
-  u64 frame_size = 128;
-  u64 serve_port = 0;
-  for (int i = 3; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--metrics") == 0) {
-      want_metrics = true;
-    } else if (std::strcmp(arg, "--json") == 0) {
-      want_json = true;
-    } else if (std::strcmp(arg, "--prometheus") == 0) {
-      want_prometheus = true;
-    } else if (flag_value(arg, "--trace-every", &trace_every) ||
-               flag_value(arg, "--packets", &packets) ||
-               flag_value(arg, "--rate", &rate_pps) ||
-               flag_value(arg, "--size", &frame_size) ||
-               flag_value(arg, "--serve", &serve_port)) {
-      // parsed into the matching variable
-    } else {
-      std::fprintf(stderr, "unknown run option '%s'\n", arg);
-      return usage();
-    }
-  }
+int run_command(const ServiceGraph& graph, int argc, char** argv) {
+  RunArgs a;
+  if (!parse_flags(a.flags(), argc, argv, 3)) return usage();
   // Serve mode wants live /profile.json and /trace.json; default the
   // tracer on (sampled) when the caller didn't choose a rate.
-  if (serve_port != 0 && trace_every == 0) trace_every = 16;
+  if (a.serve != 0 && a.trace_every == 0) a.trace_every = 16;
 
   sim::Simulator sim;
   DataplaneConfig cfg;
-  cfg.trace_every = trace_every;
-  // Pass-all firewalls: synthetic ACL rules would drop traffic-dependent
-  // subsets of the flows and obscure the per-component view.
-  cfg.factory = [](const StageNf& nf) -> std::unique_ptr<NetworkFunction> {
-    if (nf.name == "firewall") {
-      AclTable acl;
-      acl.set_default_action(AclAction::kPass);
-      return std::make_unique<Firewall>(std::move(acl));
-    }
-    return make_builtin_nf(nf.name, static_cast<u64>(nf.instance_id) + 1);
-  };
+  cfg.trace_every = a.trace_every;
+  cfg.factory = pass_all_factory;
   NfpDataplane dp(sim, graph, std::move(cfg));
-
-  if (serve_port != 0) {
-    ServeSources sources;
-    sources.sim = &sim;
-    sources.metrics = &dp.metrics();
-    sources.tracer = dp.tracer();
-    sources.recorder = &dp.flight_recorder();
-    sources.pool = &dp.pool();
-    sources.inject = [&dp](Packet* p) { dp.inject(p); };
-    sources.snapshot = [&dp] { dp.snapshot_metrics(); };
-    return serve_loop(sources, serve_port, packets,
-                      static_cast<double>(rate_pps),
-                      static_cast<std::size_t>(frame_size));
-  }
-
-  TrafficConfig traffic;
-  traffic.fixed_size = static_cast<std::size_t>(frame_size);
-  traffic.rate_pps = static_cast<double>(rate_pps);
-  traffic.packets = packets;
-  traffic.metrics = &dp.metrics();
-  TrafficGenerator gen(sim, dp.pool(), traffic);
-  gen.start([&](Packet* p) { dp.inject(p); });
-  sim.run();
-  dp.snapshot_metrics();
+  const SimPlane plane = sim_plane(sim, dp, &dp.flight_recorder());
+  if (a.serve != 0) return serve_sim(plane, a);
+  run_wave(plane, a, 0);
 
   const DataplaneStats& stats = dp.stats();
   std::printf("ran %llu packets through '%s' (%s): delivered=%llu "
@@ -402,13 +565,13 @@ int run_dataplane(const ServiceGraph& graph, int argc, char** argv) {
               static_cast<unsigned long long>(stats.delivered),
               static_cast<unsigned long long>(stats.dropped_by_nf),
               static_cast<unsigned long long>(stats.dropped_pool));
-  if (want_metrics) {
+  if (a.metrics) {
     std::printf("\n%s", telemetry::component_report(dp.metrics()).c_str());
   }
-  if (want_prometheus) {
+  if (a.prometheus) {
     std::printf("\n%s", telemetry::to_prometheus(dp.metrics()).c_str());
   }
-  if (want_json) {
+  if (a.json) {
     std::printf("%s\n", telemetry::to_json(dp.metrics()).c_str());
   }
   if (dp.tracer() != nullptr) {
@@ -427,61 +590,179 @@ int run_dataplane(const ServiceGraph& graph, int argc, char** argv) {
   return 0;
 }
 
-// Parses `--name=value` into a string; returns true when argv matches.
-bool flag_string(const char* arg, const char* name, std::string* out) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *out = arg + len + 1;
-  return true;
-}
+int profile_command(const ServiceGraph& graph, int argc, char** argv) {
+  ProfileArgs a;
+  if (!parse_flags(a.flags(), argc, argv, 3)) return usage();
+  if (a.watch && a.watch_ms == 0) a.watch_ms = 10;
 
-// Parses and validates a `--mode=` value — execution-mode selection shared
-// by live/scalability/latency. auto resolves per graph at pipeline
-// construction (sequential -> rtc, parallel -> pipelined).
-bool resolve_mode_flag(const std::string& text, ExecMode* out) {
-  if (const auto m = parse_exec_mode(text)) {
-    *out = *m;
-    return true;
+  sim::Simulator sim;
+  DataplaneConfig cfg;
+  cfg.trace_every = a.trace_every;
+  // Retain every span of every sampled packet: attribution needs complete
+  // per-packet span sets, so size the ring past eviction.
+  cfg.trace_capacity =
+      static_cast<std::size_t>(a.packets / a.trace_every + 1) * 64;
+  cfg.factory = pass_all_factory;
+
+  // ONV/RTC run the graph's NFs as one sequential chain. Neither has a
+  // flight recorder of its own; a local ring keeps the watchdog's
+  // /recorder.json and post-mortems working.
+  const std::vector<std::string> chain = nf_chain(graph);
+  std::unique_ptr<NfpDataplane> nfp_dp;
+  std::unique_ptr<baseline::OnvDataplane> onv_dp;
+  std::unique_ptr<baseline::RtcDataplane> rtc_dp;
+  telemetry::FlightRecorder local_recorder;
+  SimPlane plane;
+  if (a.plane == "nfp") {
+    nfp_dp = std::make_unique<NfpDataplane>(sim, graph, std::move(cfg));
+    plane = sim_plane(sim, *nfp_dp, &nfp_dp->flight_recorder());
+  } else if (a.plane == "onv") {
+    onv_dp = std::make_unique<baseline::OnvDataplane>(sim, chain,
+                                                      std::move(cfg));
+    plane = sim_plane(sim, *onv_dp, &local_recorder);
+  } else {
+    rtc_dp = std::make_unique<baseline::RtcDataplane>(
+        sim, chain, chain.size() + 2, std::move(cfg));
+    plane = sim_plane(sim, *rtc_dp, &local_recorder);
   }
-  std::fprintf(stderr, "unknown mode '%s' (pipelined|rtc|auto)\n",
-               text.c_str());
-  return false;
-}
+  if (a.serve != 0) return serve_sim(plane, a);
 
-// Pass-all firewall factory shared by run/profile (synthetic ACL rules
-// would drop traffic-dependent subsets and obscure the per-component view).
-std::unique_ptr<NetworkFunction> pass_all_factory(const StageNf& nf) {
-  if (nf.name == "firewall") {
-    AclTable acl;
-    acl.set_default_action(AclAction::kPass);
-    return std::make_unique<Firewall>(std::move(acl));
+  // --watch: interim bottleneck lines on the simulated clock.
+  const SimTime watch_ns = static_cast<SimTime>(a.watch_ms) * 1'000'000;
+  std::function<void()> watch_tick = [&] {
+    const telemetry::CriticalPathReport rep =
+        telemetry::CriticalPathProfiler(*plane.tracer).report();
+    std::printf("[watch t=%.1fms] attributed=%llu merge-wait=%.1f%%",
+                static_cast<double>(sim.now()) / 1e6,
+                static_cast<unsigned long long>(rep.attributed),
+                100.0 * rep.stage_fraction(telemetry::Stage::kMergeWait));
+    if (!rep.nfs.empty()) {
+      std::printf(" top=%s (%.1f%% of critical paths)",
+                  rep.nfs.front().component.c_str(),
+                  100.0 * rep.bottleneck_share(rep.nfs.front()));
+    }
+    std::printf("\n");
+    // Reschedule only while the run still has pending work, so the
+    // simulator can drain and exit.
+    if (sim.pending() > 0) sim.schedule_after(watch_ns, watch_tick);
+  };
+  run_wave(plane, a, 0, [&] {
+    if (watch_ns > 0) sim.schedule_after(watch_ns, watch_tick);
+  });
+
+  const telemetry::CriticalPathReport report =
+      telemetry::CriticalPathProfiler(*plane.tracer).report();
+  if (a.json) {
+    std::printf("%s\n", report.to_json().c_str());
+  } else {
+    std::printf("plane=%s policy='%s' (%s)\n%s", a.plane.c_str(),
+                graph.name().c_str(), graph.structure().c_str(),
+                report.to_text().c_str());
   }
-  return make_builtin_nf(nf.name, static_cast<u64>(nf.instance_id) + 1);
+
+  // Anything in the flight recorder means the run hit an anomaly; surface
+  // the post-mortem rather than letting it end silently "successful".
+  if (nfp_dp && nfp_dp->flight_recorder().recorded() > 0) {
+    std::printf("\n%s", nfp_dp->post_mortem("anomalies during profile run")
+                            .c_str());
+  }
+  return 0;
 }
 
-// --- nfp_cli live: the sharded multi-core dataplane on real threads -----
+// --- the sharded live dataplane on real threads --------------------------
+
+using Frames = std::vector<std::vector<u8>>;
 
 // One wave of frames with the requested flow count / skew / size, built
 // through the traffic generator so live and simulated runs share the same
 // packet shapes.
-std::vector<std::vector<u8>> make_live_frames(u64 packets, u64 flows,
-                                              bool zipf, u64 frame_size) {
+Frames make_frames(const TrafficArgs& t) {
   sim::Simulator sim;
   PacketPool pool(4);
   TrafficConfig cfg;
-  cfg.flows = static_cast<std::size_t>(flows);
-  cfg.flow_skew = zipf ? FlowSkew::kZipf : FlowSkew::kUniform;
+  cfg.flows = static_cast<std::size_t>(t.flows);
+  cfg.flow_skew = t.skew == "zipf" ? FlowSkew::kZipf : FlowSkew::kUniform;
   TrafficGenerator gen(sim, pool, cfg);
-  std::vector<std::vector<u8>> frames;
-  frames.reserve(static_cast<std::size_t>(packets));
-  for (u64 i = 0; i < packets; ++i) {
+  Frames frames;
+  frames.reserve(static_cast<std::size_t>(t.packets));
+  for (u64 i = 0; i < t.packets; ++i) {
     Packet* p = gen.make_packet(pool, gen.next_flow(),
-                                static_cast<std::size_t>(frame_size));
+                                static_cast<std::size_t>(t.size));
     frames.emplace_back(p->data(), p->data() + p->length());
     pool.release(p);
   }
   return frames;
 }
+
+// A ShardedDataplane plus the observatories a command reads. It owns the
+// one ordering that matters: observatories register before start(), so
+// perf_event inheritance covers the shard threads, and their baselines
+// reset after start(), so thread spawn is not accounted.
+struct LiveSession {
+  struct Observers {
+    bool scalability = false;
+    bool latency = false;  // samples 1/opts.pipeline.latency_sample_every
+    bool flows = false;
+    std::size_t top_k = telemetry::FlowObservatoryOptions{}.top_k;
+  };
+
+  LiveSession(const ServiceGraph& graph, const ShardedDataplaneOptions& opts,
+              const Observers& observe)
+      : dp({graph}, pass_all_factory, opts) {
+    if (observe.scalability) dp.register_scalability(profiler.emplace());
+    if (observe.latency) {
+      telemetry::LatencyObservatory::Options lat_options;
+      lat_options.sample_every = opts.pipeline.latency_sample_every;
+      dp.register_latency(latency.emplace(lat_options));
+    }
+    if (observe.flows) {
+      telemetry::FlowObservatoryOptions flow_options;
+      flow_options.top_k = observe.top_k;
+      dp.register_flows(flows.emplace(flow_options));
+    }
+  }
+
+  // Prints the error and returns false when the shards fail to start.
+  bool start() {
+    if (const Status st = dp.start(); !st.is_ok()) {
+      std::fprintf(stderr, "error: %s\n", st.message().c_str());
+      return false;
+    }
+    if (profiler) profiler->reset_baseline();
+    if (latency) latency->reset_baseline();
+    if (flows) flows->reset_baseline();
+    return true;
+  }
+
+  // Feeds every frame and waits until each is delivered or dropped. Take
+  // reports between this and finish(): drain() joins the workers, so the
+  // wall window then matches the one the threads accounted.
+  void feed_all(const Frames& frames) {
+    for (const auto& frame : frames) dp.feed({frame.data(), frame.size()});
+    for (;;) {
+      u64 done = 0;
+      for (std::size_t s = 0; s < dp.shard_count(); ++s) {
+        done += dp.shard_delivered(s) + dp.shard_dropped(s);
+      }
+      if (done >= frames.size()) return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
+  // Drains the shards; prints the error when the run failed.
+  ShardedResult finish() {
+    ShardedResult res = dp.drain();
+    if (!res.status.is_ok()) {
+      std::fprintf(stderr, "error: %s\n", res.status.message().c_str());
+    }
+    return res;
+  }
+
+  ShardedDataplane dp;
+  std::optional<telemetry::ScalabilityProfiler> profiler;
+  std::optional<telemetry::LatencyObservatory> latency;
+  std::optional<telemetry::FlowObservatory> flows;
+};
 
 void print_live_summary(ShardedDataplane& dp, const ShardedResult& res,
                         double seconds, u64 injected) {
@@ -546,139 +827,12 @@ void print_drop_reasons(ShardedDataplane& dp) {
   std::printf("%s\n", any ? "" : " none");
 }
 
-int live_dataplane(const ServiceGraph& graph, int argc, char** argv) {
-  u64 shards = 0;
-  u64 packets = 20'000;
-  u64 flows = 64;
-  u64 frame_size = 256;
-  u64 serve_port = 0;
-  u64 lat_every = 0;
-  u64 synth_rules = 0;
-  bool lat_every_set = false;
-  std::string skew = "uniform";
-  std::string mode = "auto";
-  std::string scenario_name;
-  for (int i = 3; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (flag_value(arg, "--lat-every", &lat_every)) {
-      lat_every_set = true;
-    } else if (flag_value(arg, "--shards", &shards) ||
-               flag_value(arg, "--packets", &packets) ||
-               flag_value(arg, "--flows", &flows) ||
-               flag_value(arg, "--size", &frame_size) ||
-               flag_value(arg, "--serve", &serve_port) ||
-               flag_value(arg, "--rules", &synth_rules) ||
-               flag_string(arg, "--skew", &skew) ||
-               flag_string(arg, "--scenario", &scenario_name) ||
-               flag_string(arg, "--mode", &mode)) {
-      // parsed into the matching variable
-    } else {
-      std::fprintf(stderr, "unknown live option '%s'\n", arg);
-      return usage();
-    }
-  }
-  // Serve mode defaults the stage-latency sampler on: 1-in-8 flows keeps
-  // the panel populated at the default 64-flow workload while the off-path
-  // cost stays one branch per packet per hop.
-  if (serve_port != 0 && !lat_every_set) lat_every = 8;
-  if (skew != "uniform" && skew != "zipf") {
-    std::fprintf(stderr, "unknown skew '%s' (uniform|zipf)\n", skew.c_str());
-    return usage();
-  }
-  ExecMode exec_mode = ExecMode::kAuto;
-  if (!resolve_mode_flag(mode, &exec_mode)) return usage();
-  if (packets == 0) packets = 1;
-  if (flows == 0) flows = 1;
-
-  std::optional<Scenario> scenario;
-  if (!scenario_name.empty()) {
-    scenario = make_scenario(scenario_name, packets, 42);
-    if (!scenario) {
-      std::fprintf(stderr, "unknown scenario '%s' (", scenario_name.c_str());
-      const auto names = scenario_names();
-      for (std::size_t i = 0; i < names.size(); ++i) {
-        std::fprintf(stderr, "%s%s", i == 0 ? "" : "|", names[i].c_str());
-      }
-      std::fprintf(stderr, ")\n");
-      return usage();
-    }
-  }
-  std::vector<std::vector<u8>> frames;
-  if (scenario) {
-    frames.reserve(scenario->frames.size());
-    for (const auto& f : scenario->frames) frames.push_back(f.bytes);
-  } else {
-    frames = make_live_frames(packets, flows, skew == "zipf", frame_size);
-  }
-
-  ShardedDataplaneOptions opts;
-  opts.shards = static_cast<std::size_t>(shards);
-  opts.pipeline.latency_sample_every = static_cast<std::size_t>(lat_every);
-  opts.pipeline.exec_mode = exec_mode;
-  ShardedDataplane dp({graph}, pass_all_factory, opts);
-
-  if (synth_rules > 0) {
-    dp.add_rules(
-        synthetic_ct_rules(static_cast<std::size_t>(synth_rules), 42,
-                           dp.graph_count()));
-    std::printf("preloaded %llu synthetic CT rules (%zu tuple-space masks)\n",
-                static_cast<unsigned long long>(synth_rules),
-                dp.classifier_tuple_count());
-  }
-  if (scenario && scenario->has_attack_subnet) {
-    // The scrubbing rule the scenario metadata asks for: everything from
-    // the attack subnet dies at classification time, before any NF runs.
-    CtRule drop;
-    drop.src_ip = scenario->attack_subnet;
-    drop.src_mask = scenario->attack_mask;
-    drop.priority = 1'000'000;  // outranks every synthetic filler rule
-    drop.graph = LiveClassificationTable::kDropGraph;
-    dp.add_rule(drop);
-  }
-  if (scenario) {
-    std::printf("scenario '%s': %s (%llu frames, ~%zu flows)\n",
-                scenario->name.c_str(), scenario->summary.c_str(),
-                static_cast<unsigned long long>(scenario->frames.size()),
-                scenario->flows);
-  }
-
-  if (serve_port == 0) {
-    const auto t0 = std::chrono::steady_clock::now();
-    ShardedResult res;
-    if (scenario) {
-      // Paced replay: honor the preset's inter-frame gaps (sleeping only
-      // for the macroscopic off-periods; sub-millisecond gaps are noise
-      // next to scheduler latency).
-      if (const Status st = dp.start(); !st.is_ok()) {
-        std::fprintf(stderr, "error: %s\n", st.message().c_str());
-        return 1;
-      }
-      for (const auto& f : scenario->frames) {
-        if (f.gap_ns >= 1'000'000) {
-          std::this_thread::sleep_for(std::chrono::nanoseconds(f.gap_ns));
-        }
-        dp.feed({f.bytes.data(), f.bytes.size()});
-      }
-      res = dp.drain();
-    } else {
-      res = dp.run(frames);
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    if (!res.status.is_ok()) {
-      std::fprintf(stderr, "error: %s\n", res.status.message().c_str());
-      return 1;
-    }
-    print_live_summary(dp, res,
-                       std::chrono::duration<double>(t1 - t0).count(),
-                       frames.size());
-    if (scenario || synth_rules > 0) print_drop_reasons(dp);
-    return 0;
-  }
-
-  // --serve: stream waves of the same flow set forever with the
-  // observability plane live. All registry series are created here, before
-  // any server or sampler thread can scan the maps; afterwards only the
-  // atomic cells are touched.
+// live --serve: stream waves of the same flow set forever with the
+// observability plane live. All registry series exist before the server
+// and sampler threads scan the maps; afterwards waves touch only atomic
+// cells, so they run without the serve mutex.
+int serve_live(LiveSession& session, const Frames& frames, u64 port) {
+  ShardedDataplane& dp = session.dp;
   telemetry::MetricsRegistry registry;
   telemetry::FlightRecorder recorder;
   telemetry::Watchdog watchdog(recorder);
@@ -703,332 +857,164 @@ int live_dataplane(const ServiceGraph& graph, int argc, char** argv) {
         "packets_delivered_total",
         {{"plane", "sharded"}, {"shard", std::to_string(s)}}));
   }
+  if (!session.start()) return 1;
 
-  std::mutex mu;
-  telemetry::TimeseriesCollector::Options ts_options;
-  ts_options.period_ms = 500;
-  telemetry::TimeseriesCollector collector(registry, ts_options);
-  collector.publish_derived(&registry);
-  collector.set_mutex(&mu);
-  collector.add_probe("microflow_hit_rate", {}, [&dp] {
-    const u64 hits = dp.microflow_hits();
-    const u64 misses = dp.microflow_misses();
-    return (hits + misses) > 0 ? static_cast<double>(hits) /
-                                     static_cast<double>(hits + misses)
-                               : 0.0;
-  });
-
-  // Constructed before start() so perf_event's inherit flag covers the
-  // dataplane threads about to spawn.
-  telemetry::ScalabilityProfiler profiler;
-  dp.register_scalability(profiler);
-  profiler.register_probes(collector);
-
-  telemetry::LatencyObservatory::Options lat_options;
-  lat_options.sample_every = opts.pipeline.latency_sample_every;
-  telemetry::LatencyObservatory latency_obs(lat_options);
-  dp.register_latency(latency_obs);
-  latency_obs.register_probes(collector);
-
-  telemetry::FlowObservatory flow_obs;
-  dp.register_flows(flow_obs);
-  flow_obs.register_probes(collector);
-
-  if (const Status st = dp.start(); !st.is_ok()) {
-    std::fprintf(stderr, "error: %s\n", st.message().c_str());
-    return 1;
-  }
-  profiler.reset_baseline();
-  latency_obs.reset_baseline();
-  flow_obs.reset_baseline();
-
-  telemetry::StatsServer server;
-  telemetry::EndpointSources sources;
-  sources.registry = &registry;
-  sources.recorder = &recorder;
-  sources.watchdog = &watchdog;
-  sources.timeseries = &collector;
-  sources.scalability = &profiler;
-  sources.latency = &latency_obs;
-  sources.flows = &flow_obs;
-  sources.mu = &mu;
-  telemetry::register_standard_endpoints(server, sources);
-  telemetry::StatsServer::Options server_options;
-  server_options.port = static_cast<std::uint16_t>(serve_port);
-  if (const Status started = server.start(server_options); !started) {
-    std::fprintf(stderr, "error: %s\n", started.message().c_str());
-    return 1;
-  }
-  std::printf("live dataplane: %zu shards (%zu online CPUs, mode=%s) "
-              "serving on http://127.0.0.1:%u — /metrics /timeseries.json "
-              "/scalability.json /latency.json /flows.json /healthz — "
-              "`nfp_cli top --port=%u` for the dashboard, Ctrl-C to stop\n",
-              dp.shard_count(), online_cpu_count(),
-              exec_mode_name(dp.exec_mode()),
-              static_cast<unsigned>(server.port()),
-              static_cast<unsigned>(server.port()));
-  std::fflush(stdout);
-
-  install_stop_handler();
-  sampler.start();
-  collector.start();
-
+  // Guard each delta against a source reading below the last one (a
+  // restarted/reset source): the raw u64 subtraction would wrap and inc()
+  // the counter by ~2^64, which reads as a counter that jumped *backwards*
+  // and poisons every later :rate sample.
+  const auto delta = [](u64 now, u64* last) {
+    const u64 d = now >= *last ? now - *last : now;
+    *last = now;
+    return d;
+  };
   std::vector<u64> last_delivered(dp.shard_count(), 0);
   u64 last_dropped = 0;
-  u64 waves = 0;
-  while (g_stop == 0) {
+  ServeHooks hooks;
+  hooks.wave = [&](u64, std::mutex&) {
     for (const auto& frame : frames) {
       if (g_stop != 0) break;
       dp.feed({frame.data(), frame.size()});
       injected.inc();
     }
-    for (std::size_t s = 0; s < dp.shard_count(); ++s) {
-      const u64 now = dp.shard_delivered(s);
-      // Guard the delta against a source reading below the last one (a
-      // restarted/reset source): the raw u64 subtraction would wrap and
-      // inc() the counter by ~2^64, which reads as a counter that jumped
-      // *backwards* and poisons every later :rate sample.
-      delivered_counters[s]->inc(now >= last_delivered[s]
-                                     ? now - last_delivered[s]
-                                     : now);
-      last_delivered[s] = now;
-    }
     u64 dropped_now = 0;
     for (std::size_t s = 0; s < dp.shard_count(); ++s) {
+      delivered_counters[s]->inc(
+          delta(dp.shard_delivered(s), &last_delivered[s]));
       dropped_now += dp.shard_dropped(s);
     }
-    dropped_total.inc(dropped_now >= last_dropped ? dropped_now - last_dropped
-                                                  : dropped_now);
-    last_dropped = dropped_now;
-    ++waves;
-    interruptible_sleep_ms(200);
-  }
+    dropped_total.inc(delta(dropped_now, &last_dropped));
+  };
+  hooks.probes = [&](telemetry::TimeseriesCollector& collector) {
+    collector.add_probe("microflow_hit_rate", {}, [&dp] {
+      const u64 hits = dp.microflow_hits();
+      const u64 misses = dp.microflow_misses();
+      return (hits + misses) > 0 ? static_cast<double>(hits) /
+                                       static_cast<double>(hits + misses)
+                                 : 0.0;
+    });
+    session.profiler->register_probes(collector);
+    session.latency->register_probes(collector);
+    session.flows->register_probes(collector);
+  };
+  hooks.banner = [&](unsigned bound) {
+    std::printf("live dataplane: %zu shards (%zu online CPUs, mode=%s) "
+                "serving on http://127.0.0.1:%u — /metrics /timeseries.json "
+                "/scalability.json /latency.json /flows.json /healthz — "
+                "`nfp_cli top --port=%u` for the dashboard, Ctrl-C to stop\n",
+                dp.shard_count(), online_cpu_count(),
+                exec_mode_name(dp.exec_mode()), bound, bound);
+  };
+  hooks.sampler = &sampler;
 
-  collector.stop();
-  sampler.stop();
-  server.stop();
-  const ShardedResult res = dp.drain();
-  std::printf("\nstopped after %llu waves; served %llu requests\n",
-              static_cast<unsigned long long>(waves),
-              static_cast<unsigned long long>(server.requests_served()));
+  telemetry::EndpointSources sources;
+  sources.recorder = &recorder;
+  sources.watchdog = &watchdog;
+  sources.scalability = &*session.profiler;
+  sources.latency = &*session.latency;
+  sources.flows = &*session.flows;
+  if (const int rc = serve(registry, sources, port, hooks); rc != 0) return rc;
+  const ShardedResult res = session.finish();
   print_live_summary(dp, res, 0, injected.value.load());
   return res.status.is_ok() ? 0 : 1;
 }
 
-int profile_dataplane(const ServiceGraph& graph, int argc, char** argv) {
-  std::string plane = "nfp";
-  bool want_json = false;
-  u64 trace_every = 1;
-  u64 packets = 2'000;
-  u64 rate_pps = 10'000;
-  u64 frame_size = 128;
-  u64 watch_ms = 0;
-  u64 serve_port = 0;
-  for (int i = 3; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--json") == 0) {
-      want_json = true;
-    } else if (std::strcmp(arg, "--watch") == 0) {
-      watch_ms = 10;
-    } else if (flag_string(arg, "--plane", &plane) ||
-               flag_value(arg, "--trace-every", &trace_every) ||
-               flag_value(arg, "--packets", &packets) ||
-               flag_value(arg, "--rate", &rate_pps) ||
-               flag_value(arg, "--size", &frame_size) ||
-               flag_value(arg, "--watch", &watch_ms) ||
-               flag_value(arg, "--serve", &serve_port)) {
-      // parsed into the matching variable
-    } else {
-      std::fprintf(stderr, "unknown profile option '%s'\n", arg);
-      return usage();
+int live_command(const ServiceGraph& graph, int argc, char** argv) {
+  LiveArgs a;
+  if (!parse_flags(a.flags(), argc, argv, 3)) return usage();
+  const bool serving = a.serve != 0;
+
+  std::optional<Scenario> scenario;
+  Frames frames;
+  if (!a.scenario.empty()) {
+    scenario = make_scenario(a.scenario, a.packets, 42);
+    for (const auto& f : scenario->frames) frames.push_back(f.bytes);
+  } else {
+    frames = make_frames(a);
+  }
+
+  ShardedDataplaneOptions opts;
+  opts.shards = static_cast<std::size_t>(a.shards);
+  // Serve mode defaults the stage-latency sampler on: 1-in-8 flows keeps
+  // the panel populated at the default 64-flow workload while the off-path
+  // cost stays one branch per packet per hop.
+  opts.pipeline.latency_sample_every =
+      static_cast<std::size_t>(a.lat_every.value_or(serving ? 8 : 0));
+  opts.pipeline.exec_mode = *parse_exec_mode(a.mode);
+  LiveSession session(graph, opts,
+                      {.scalability = serving, .latency = serving,
+                       .flows = serving});
+  ShardedDataplane& dp = session.dp;
+
+  if (a.rules > 0) {
+    dp.add_rules(synthetic_ct_rules(static_cast<std::size_t>(a.rules), 42,
+                                    dp.graph_count()));
+    std::printf("preloaded %llu synthetic CT rules (%zu tuple-space masks)\n",
+                static_cast<unsigned long long>(a.rules),
+                dp.classifier_tuple_count());
+  }
+  if (scenario && scenario->has_attack_subnet) {
+    // The scrubbing rule the scenario metadata asks for: everything from
+    // the attack subnet dies at classification time, before any NF runs.
+    CtRule drop;
+    drop.src_ip = scenario->attack_subnet;
+    drop.src_mask = scenario->attack_mask;
+    drop.priority = 1'000'000;  // outranks every synthetic filler rule
+    drop.graph = LiveClassificationTable::kDropGraph;
+    dp.add_rule(drop);
+  }
+  if (scenario) {
+    std::printf("scenario '%s': %s (%llu frames, ~%zu flows)\n",
+                scenario->name.c_str(), scenario->summary.c_str(),
+                static_cast<unsigned long long>(scenario->frames.size()),
+                scenario->flows);
+  }
+  if (serving) return serve_live(session, frames, a.serve);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  if (!session.start()) return 1;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    // Paced replay: honor a preset's inter-frame gaps (sleeping only for
+    // the macroscopic off-periods; sub-millisecond gaps are noise next to
+    // scheduler latency).
+    if (scenario && scenario->frames[i].gap_ns >= 1'000'000) {
+      std::this_thread::sleep_for(
+          std::chrono::nanoseconds(scenario->frames[i].gap_ns));
     }
+    dp.feed({frames[i].data(), frames[i].size()});
   }
-  if (trace_every == 0) trace_every = 1;
-  if (plane != "nfp" && plane != "onv" && plane != "rtc") {
-    std::fprintf(stderr, "unknown plane '%s' (nfp|onv|rtc)\n", plane.c_str());
-    return usage();
-  }
-
-  sim::Simulator sim;
-  DataplaneConfig cfg;
-  cfg.trace_every = trace_every;
-  // Retain every span of every sampled packet: attribution needs complete
-  // per-packet span sets, so size the ring past eviction.
-  cfg.trace_capacity =
-      static_cast<std::size_t>(packets / trace_every + 1) * 64;
-  cfg.factory = pass_all_factory;
-
-  // ONV/RTC run the graph's NFs as one sequential chain.
-  std::vector<std::string> chain;
-  for (const Segment& seg : graph.segments()) {
-    for (const StageNf& nf : seg.nfs) chain.push_back(nf.name);
-  }
-
-  std::unique_ptr<NfpDataplane> nfp_dp;
-  std::unique_ptr<baseline::OnvDataplane> onv_dp;
-  std::unique_ptr<baseline::RtcDataplane> rtc_dp;
-  telemetry::Tracer* tracer = nullptr;
-  telemetry::MetricsRegistry* metrics = nullptr;
-  std::function<void(Packet*)> inject;
-  PacketPool* pool = nullptr;
-  if (plane == "nfp") {
-    nfp_dp = std::make_unique<NfpDataplane>(sim, graph, std::move(cfg));
-    tracer = nfp_dp->tracer();
-    metrics = &nfp_dp->metrics();
-    pool = &nfp_dp->pool();
-    inject = [&dp = *nfp_dp](Packet* p) { dp.inject(p); };
-  } else if (plane == "onv") {
-    onv_dp = std::make_unique<baseline::OnvDataplane>(sim, chain,
-                                                      std::move(cfg));
-    tracer = onv_dp->tracer();
-    metrics = &onv_dp->metrics();
-    pool = &onv_dp->pool();
-    inject = [&dp = *onv_dp](Packet* p) { dp.inject(p); };
-  } else {
-    rtc_dp = std::make_unique<baseline::RtcDataplane>(
-        sim, chain, chain.size() + 2, std::move(cfg));
-    tracer = rtc_dp->tracer();
-    metrics = &rtc_dp->metrics();
-    pool = &rtc_dp->pool();
-    inject = [&dp = *rtc_dp](Packet* p) { dp.inject(p); };
-  }
-
-  if (serve_port != 0) {
-    // Baselines have no flight recorder of their own; give the watchdog a
-    // local ring so /recorder.json and post-mortems still work.
-    telemetry::FlightRecorder local_recorder;
-    ServeSources sources;
-    sources.sim = &sim;
-    sources.metrics = metrics;
-    sources.tracer = tracer;
-    sources.recorder =
-        nfp_dp ? &nfp_dp->flight_recorder() : &local_recorder;
-    sources.pool = pool;
-    sources.inject = inject;
-    sources.snapshot = [&] {
-      if (nfp_dp) nfp_dp->snapshot_metrics();
-      if (onv_dp) onv_dp->snapshot_metrics();
-      if (rtc_dp) rtc_dp->snapshot_metrics();
-    };
-    return serve_loop(sources, serve_port, packets,
-                      static_cast<double>(rate_pps),
-                      static_cast<std::size_t>(frame_size));
-  }
-
-  TrafficConfig traffic;
-  traffic.fixed_size = static_cast<std::size_t>(frame_size);
-  traffic.rate_pps = static_cast<double>(rate_pps);
-  traffic.packets = packets;
-  traffic.metrics = metrics;
-  TrafficGenerator gen(sim, *pool, traffic);
-  gen.start([&](Packet* p) { inject(p); });
-
-  // --watch: interim bottleneck lines on the simulated clock.
-  std::function<void()> watch_tick;
-  const SimTime watch_ns = static_cast<SimTime>(watch_ms) * 1'000'000;
-  if (watch_ns > 0) {
-    watch_tick = [&] {
-      const telemetry::CriticalPathReport rep =
-          telemetry::CriticalPathProfiler(*tracer).report();
-      std::printf("[watch t=%.1fms] attributed=%llu merge-wait=%.1f%%",
-                  static_cast<double>(sim.now()) / 1e6,
-                  static_cast<unsigned long long>(rep.attributed),
-                  100.0 * rep.stage_fraction(telemetry::Stage::kMergeWait));
-      if (!rep.nfs.empty()) {
-        std::printf(" top=%s (%.1f%% of critical paths)",
-                    rep.nfs.front().component.c_str(),
-                    100.0 * rep.bottleneck_share(rep.nfs.front()));
-      }
-      std::printf("\n");
-      // Reschedule only while the run still has pending work, so the
-      // simulator can drain and exit.
-      if (sim.pending() > 0) sim.schedule_after(watch_ns, watch_tick);
-    };
-    sim.schedule_after(watch_ns, watch_tick);
-  }
-
-  sim.run();
-  if (nfp_dp) nfp_dp->snapshot_metrics();
-  if (onv_dp) onv_dp->snapshot_metrics();
-  if (rtc_dp) rtc_dp->snapshot_metrics();
-
-  const telemetry::CriticalPathReport report =
-      telemetry::CriticalPathProfiler(*tracer).report();
-  if (want_json) {
-    std::printf("%s\n", report.to_json().c_str());
-  } else {
-    std::printf("plane=%s policy='%s' (%s)\n%s", plane.c_str(),
-                graph.name().c_str(), graph.structure().c_str(),
-                report.to_text().c_str());
-  }
-
-  // Anything in the flight recorder means the run hit an anomaly; surface
-  // the post-mortem rather than letting it end silently "successful".
-  if (nfp_dp && nfp_dp->flight_recorder().recorded() > 0) {
-    std::printf("\n%s", nfp_dp->post_mortem("anomalies during profile run")
-                            .c_str());
-  }
+  const ShardedResult res = session.finish();
+  const auto t1 = std::chrono::steady_clock::now();
+  if (!res.status.is_ok()) return 1;
+  print_live_summary(dp, res, std::chrono::duration<double>(t1 - t0).count(),
+                     frames.size());
+  if (scenario || a.rules > 0) print_drop_reasons(dp);
   return 0;
 }
 
-// --- nfp_cli top: live dashboard over /timeseries.json + /healthz -------
+// --- nfp_cli top: live dashboard over a --serve'd run --------------------
 
-// One /scalability.json shard row: where its accounted time went.
-struct TopShardAttribution {
-  std::string name;
-  std::array<double, 6> share{};  // useful..classifier_miss (bucket order)
-  double pps = 0;
-  double projected_pps = 0;
-};
-
-// One /latency.json stage row (folded across shards).
-struct TopLatencyStage {
-  std::string name;
-  double p50_us = 0;
-  double p99_us = 0;
-  double p999_us = 0;
-  double max_us = 0;
-  u64 count = 0;
-};
-
-// One /flows.json heavy-hitter row (cross-shard merged).
-struct TopFlowRow {
-  std::string flow;  // rendered 5-tuple
-  double packets = 0;
-  double bytes = 0;
-  double share = 0;  // fraction of counted packets
-};
-
+// /timeseries.json folded into the dashboard's headline numbers.
 struct TopView {
   double pps_in = 0;
   double pps_out = 0;
   double drops_per_s = 0;
   double merge_wait_share = 0;
   u64 ticks = 0;
-  // Active execution mode from /metrics.json's exec_mode_active gauge;
-  // empty when the server does not publish one.
-  std::string exec_mode;
   std::map<std::string, double> util;       // component -> core_util
   std::map<std::string, double> p99_ns;     // nf -> nf_service_ns:p99
   std::map<std::string, double> p999_ns;    // nf -> nf_service_ns:p999
   std::map<std::string, double> bn_share;   // nf -> bottleneck share
   std::vector<double> out_history;          // delivered pps points
-  // Filled from /scalability.json when the server exposes it (the sharded
-  // live dataplane); empty otherwise — the panel is simply omitted.
-  std::vector<TopShardAttribution> shard_attrib;
-  std::string top_contention;
-  // Filled from /latency.json when served; empty otherwise.
-  std::vector<TopLatencyStage> latency_stages;
-  u64 latency_sampled = 0;
-  u64 latency_sample_every = 0;
-  double latency_queue_depth = 0;
-  double latency_ingest_depth = 0;
-  // Filled from /flows.json when served; empty otherwise — the flows
-  // panel is simply omitted.
-  std::vector<TopFlowRow> top_flows;
-  double flows_active = 0;
-  double flow_packets = 0;
-  std::map<std::string, double> flow_drops;  // reason -> total
+};
+
+// The documents behind the optional panels. Each is absent when the server
+// does not serve its endpoint (404), and the panel is then skipped.
+struct TopPanels {
+  std::optional<json::Value> metrics;      // /metrics.json: the exec mode
+  std::optional<json::Value> latency;      // /latency.json
+  std::optional<json::Value> flows;        // /flows.json
+  std::optional<json::Value> scalability;  // /scalability.json
 };
 
 std::string series_label(const json::Value& series, const char* key) {
@@ -1074,85 +1060,20 @@ TopView parse_top_view(const json::Value& doc) {
   return view;
 }
 
-// Folds /scalability.json (when present) into the view. Tolerates the
-// endpoint being absent: servers without a sharded dataplane 404 and the
-// attribution panel is skipped.
-void parse_scalability_view(const json::Value& doc, TopView* view) {
-  static const char* kBuckets[] = {"useful",    "starved",   "ring_wait",
-                                   "pool_wait", "merge_wait",
-                                   "classifier_miss"};
-  view->top_contention =
-      std::string(doc.string_or("top_contention_source", ""));
-  const json::Value* shards = doc.find("shards");
-  if (shards == nullptr || !shards->is_array()) return;
-  for (const json::Value& s : shards->items()) {
-    TopShardAttribution row;
-    row.name = std::string(s.string_or("name", "?"));
-    row.pps = s.number_or("pps", 0);
-    row.projected_pps = s.number_or("projected_pps", 0);
-    if (const json::Value* shares = s.find("shares"); shares != nullptr) {
-      for (std::size_t b = 0; b < 6; ++b) {
-        row.share[b] = shares->number_or(kBuckets[b], 0);
-      }
-    }
-    view->shard_attrib.push_back(std::move(row));
-  }
-}
-
-// Folds /latency.json (when present) into the view; absent on servers
-// without a latency observatory (or with sampling off), which 404 — the
-// latency panel is then skipped.
-void parse_latency_view(const json::Value& doc, TopView* view) {
-  static const char* kStages[] = {"ingest", "queue",  "service",
-                                  "merge_wait", "egress", "total"};
-  view->latency_sampled = static_cast<u64>(doc.number_or("sampled", 0));
-  view->latency_sample_every =
-      static_cast<u64>(doc.number_or("sample_every", 0));
-  const json::Value* total = doc.find("total");
-  if (total == nullptr) return;
-  view->latency_queue_depth = total->number_or("queue_depth", 0);
-  view->latency_ingest_depth = total->number_or("ingest_queue_depth", 0);
-  const json::Value* stages = total->find("stages");
-  if (stages == nullptr) return;
-  for (const char* name : kStages) {
-    const json::Value* s = stages->find(name);
-    if (s == nullptr) continue;
-    TopLatencyStage row;
-    row.name = name;
-    row.count = static_cast<u64>(s->number_or("count", 0));
-    row.p50_us = s->number_or("p50_us", 0);
-    row.p99_us = s->number_or("p99_us", 0);
-    row.p999_us = s->number_or("p999_us", 0);
-    row.max_us = s->number_or("max_us", 0);
-    view->latency_stages.push_back(std::move(row));
-  }
-}
-
-// Folds /flows.json (when present) into the view; absent on servers
-// without a flow observatory, which 404 — the flows panel is skipped.
-void parse_flows_view(const json::Value& doc, TopView* view) {
-  view->flows_active = doc.number_or("flows_active", 0);
-  view->flow_packets = doc.number_or("packets", 0);
-  const json::Value* top = doc.find("top");
-  if (top != nullptr && top->is_array()) {
-    for (const json::Value& f : top->items()) {
-      TopFlowRow row;
-      row.flow = std::string(f.string_or("flow", "?"));
-      row.packets = f.number_or("packets", 0);
-      row.bytes = f.number_or("bytes", 0);
-      row.share = f.number_or("share", 0);
-      view->top_flows.push_back(std::move(row));
+// The active execution mode: the exec_mode_active{mode="..."} gauge that
+// reads 1 on /metrics.json; empty when the server publishes none.
+std::string active_exec_mode(const json::Value& doc) {
+  std::string mode;
+  const json::Value* gauges = doc.find("gauges");
+  if (gauges == nullptr || !gauges->is_array()) return mode;
+  for (const json::Value& g : gauges->items()) {
+    const json::Value* labels = g.find("labels");
+    if (g.string_or("name", "") == "exec_mode_active" &&
+        g.number_or("value", 0) == 1.0 && labels != nullptr) {
+      mode = std::string(labels->string_or("mode", ""));
     }
   }
-  static const char* kReasons[] = {"ring_full",       "pool_exhausted",
-                                   "nf_verdict",      "classifier_miss",
-                                   "merge_overflow",  "shutdown_drain"};
-  if (const json::Value* drops = doc.find("drops"); drops != nullptr) {
-    for (const char* reason : kReasons) {
-      const double n = drops->number_or(reason, 0);
-      if (n > 0) view->flow_drops[reason] = n;
-    }
-  }
+  return mode;
 }
 
 std::string util_bar(double fraction, int width = 20) {
@@ -1182,14 +1103,108 @@ std::string sparkline(const std::vector<double>& points, std::size_t width) {
   return out;
 }
 
-void render_top(const TopView& view, const std::string& health_body,
-                int health_status, u64 port, bool clear_screen) {
+// Stage-resolved tail latency (/latency.json), once a sampled packet has
+// completed.
+void render_latency(const json::Value& doc) {
+  const json::Value* total = doc.find("total");
+  const json::Value* stages = total ? total->find("stages") : nullptr;
+  const auto sampled = static_cast<u64>(doc.number_or("sampled", 0));
+  if (stages == nullptr || sampled == 0) return;
+  const auto every = static_cast<u64>(doc.number_or("sample_every", 0));
+  std::printf("\n  latency (sampled 1/%llu flows, %llu samples)   "
+              "queue depth %.0f   ingest depth %.0f\n",
+              static_cast<unsigned long long>(every ? every : 1),
+              static_cast<unsigned long long>(sampled),
+              total->number_or("queue_depth", 0),
+              total->number_or("ingest_queue_depth", 0));
+  std::printf("  %-12s %9s %9s %9s %9s\n", "stage", "p50us", "p99us",
+              "p99.9us", "maxus");
+  for (std::size_t i = 0; i < telemetry::kLatencyStageCount; ++i) {
+    const char* name =
+        telemetry::latency_stage_name(static_cast<telemetry::LatencyStage>(i));
+    const json::Value* s = stages->find(name);
+    if (s == nullptr || static_cast<u64>(s->number_or("count", 0)) == 0) {
+      continue;
+    }
+    std::printf("  %-12s %9.1f %9.1f %9.1f %9.1f\n", name,
+                s->number_or("p50_us", 0), s->number_or("p99_us", 0),
+                s->number_or("p999_us", 0), s->number_or("max_us", 0));
+  }
+}
+
+// Heavy hitters and the drop taxonomy (/flows.json). The dashboard shows
+// the head of the top-K list.
+void render_flows(const json::Value& doc) {
+  const json::Value* top = doc.find("top");
+  if (top != nullptr && top->is_array() && !top->items().empty()) {
+    std::printf("\n  top flows (%.0f active)\n",
+                doc.number_or("flows_active", 0));
+    std::printf("  %-4s %-34s %10s %12s %7s\n", "#", "flow", "packets",
+                "bytes", "share");
+    for (std::size_t i = 0; i < top->items().size() && i < 5; ++i) {
+      const json::Value& f = top->items()[i];
+      std::printf("  %-4zu %-34s %10.0f %12.0f %6.1f%%\n", i + 1,
+                  std::string(f.string_or("flow", "?")).c_str(),
+                  f.number_or("packets", 0), f.number_or("bytes", 0),
+                  100.0 * f.number_or("share", 0));
+    }
+  }
+  std::map<std::string, double> drops;  // printed in name order
+  if (const json::Value* d = doc.find("drops"); d != nullptr) {
+    for (std::size_t r = 0; r < telemetry::kDropReasonCount; ++r) {
+      const char* reason =
+          telemetry::drop_reason_name(static_cast<telemetry::DropReason>(r));
+      if (const double n = d->number_or(reason, 0); n > 0) drops[reason] = n;
+    }
+  }
+  if (drops.empty()) return;
+  std::printf("  drops by reason:");
+  for (const auto& [reason, n] : drops) {
+    std::printf(" %s=%.0f", reason.c_str(), n);
+  }
+  std::printf("\n");
+}
+
+// Per-shard cycle attribution (/scalability.json): where each shard's
+// accounted time went, in bucket order.
+void render_scalability(const json::Value& doc) {
+  const json::Value* shards = doc.find("shards");
+  if (shards == nullptr || !shards->is_array() || shards->items().empty()) {
+    return;
+  }
+  std::printf("\n  %-10s %10s %10s %7s %7s %7s %7s %7s %7s\n", "shard", "pps",
+              "proj pps", "useful", "starve", "ring", "pool", "merge",
+              "miss");
+  for (const json::Value& s : shards->items()) {
+    std::printf("  %-10s %10.0f %10.0f",
+                std::string(s.string_or("name", "?")).c_str(),
+                s.number_or("pps", 0), s.number_or("projected_pps", 0));
+    const json::Value* shares = s.find("shares");
+    for (std::size_t b = 0; b < telemetry::kCycleBucketCount; ++b) {
+      const char* bucket =
+          telemetry::cycle_bucket_name(static_cast<telemetry::CycleBucket>(b));
+      std::printf(" %6.1f%%",
+                  100.0 * (shares ? shares->number_or(bucket, 0) : 0));
+    }
+    std::printf("\n");
+  }
+  const std::string contention(doc.string_or("top_contention_source", ""));
+  if (!contention.empty()) {
+    std::printf("  top contention source: %s\n", contention.c_str());
+  }
+}
+
+void render_top(const TopView& view, const TopPanels& panels,
+                const std::string& health_body, int health_status, u64 port,
+                bool clear_screen) {
   if (clear_screen) std::printf("\x1b[H\x1b[2J");
   std::printf("nfp top — 127.0.0.1:%llu   tick %llu   ",
               static_cast<unsigned long long>(port),
               static_cast<unsigned long long>(view.ticks));
-  if (!view.exec_mode.empty()) {
-    std::printf("mode %s   ", view.exec_mode.c_str());
+  if (const std::string mode =
+          panels.metrics ? active_exec_mode(*panels.metrics) : "";
+      !mode.empty()) {
+    std::printf("mode %s   ", mode.c_str());
   }
   if (health_status == 200) {
     std::printf("healthy\n");
@@ -1232,17 +1247,13 @@ void render_top(const TopView& view, const std::string& health_body,
   for (const auto& [component, util] : view.util) {
     std::printf("  %-22s %s %5.1f%%", component.c_str(),
                 util_bar(util).c_str(), 100.0 * util);
-    const auto p99 = view.p99_ns.find(component);
-    if (p99 != view.p99_ns.end()) {
-      std::printf(" %9.1f us", p99->second / 1e3);
-    } else {
-      std::printf(" %12s", "—");
-    }
-    const auto p999 = view.p999_ns.find(component);
-    if (p999 != view.p999_ns.end()) {
-      std::printf(" %9.1f us", p999->second / 1e3);
-    } else {
-      std::printf(" %12s", "—");
+    for (const auto* ns : {&view.p99_ns, &view.p999_ns}) {
+      const auto it = ns->find(component);
+      if (it != ns->end()) {
+        std::printf(" %9.1f us", it->second / 1e3);
+      } else {
+        std::printf(" %12s", "—");
+      }
     }
     const auto share = view.bn_share.find(component);
     if (share != view.bn_share.end()) {
@@ -1251,88 +1262,32 @@ void render_top(const TopView& view, const std::string& health_body,
     std::printf("\n");
   }
 
-  // Stage-resolved tail latency (only when /latency.json is served with
-  // sampling enabled and at least one sampled packet has completed).
-  if (!view.latency_stages.empty() && view.latency_sampled > 0) {
-    std::printf("\n  latency (sampled 1/%llu flows, %llu samples)   "
-                "queue depth %.0f   ingest depth %.0f\n",
-                static_cast<unsigned long long>(
-                    view.latency_sample_every ? view.latency_sample_every : 1),
-                static_cast<unsigned long long>(view.latency_sampled),
-                view.latency_queue_depth, view.latency_ingest_depth);
-    std::printf("  %-12s %9s %9s %9s %9s\n", "stage", "p50us", "p99us",
-                "p99.9us", "maxus");
-    for (const TopLatencyStage& row : view.latency_stages) {
-      if (row.count == 0) continue;
-      std::printf("  %-12s %9.1f %9.1f %9.1f %9.1f\n", row.name.c_str(),
-                  row.p50_us, row.p99_us, row.p999_us, row.max_us);
-    }
-  }
-
-  // Heavy hitters + drop taxonomy (only when /flows.json is served).
-  if (!view.top_flows.empty()) {
-    std::printf("\n  top flows (%.0f active)\n", view.flows_active);
-    std::printf("  %-4s %-34s %10s %12s %7s\n", "#", "flow", "packets",
-                "bytes", "share");
-    std::size_t rank = 1;
-    for (const TopFlowRow& row : view.top_flows) {
-      if (rank > 5) break;  // the dashboard shows the head; flows.json has K
-      std::printf("  %-4zu %-34s %10.0f %12.0f %6.1f%%\n", rank,
-                  row.flow.c_str(), row.packets, row.bytes,
-                  100.0 * row.share);
-      ++rank;
-    }
-  }
-  if (!view.flow_drops.empty()) {
-    std::printf("  drops by reason:");
-    for (const auto& [reason, n] : view.flow_drops) {
-      std::printf(" %s=%.0f", reason.c_str(), n);
-    }
-    std::printf("\n");
-  }
-
-  // Per-shard cycle attribution (only when /scalability.json is served).
-  if (!view.shard_attrib.empty()) {
-    std::printf("\n  %-10s %10s %10s %7s %7s %7s %7s %7s %7s\n", "shard",
-                "pps", "proj pps", "useful", "starve", "ring", "pool",
-                "merge", "miss");
-    for (const TopShardAttribution& row : view.shard_attrib) {
-      std::printf("  %-10s %10.0f %10.0f", row.name.c_str(), row.pps,
-                  row.projected_pps);
-      for (std::size_t b = 0; b < 6; ++b) {
-        std::printf(" %6.1f%%", 100.0 * row.share[b]);
-      }
-      std::printf("\n");
-    }
-    if (!view.top_contention.empty()) {
-      std::printf("  top contention source: %s\n",
-                  view.top_contention.c_str());
-    }
-  }
+  if (panels.latency) render_latency(*panels.latency);
+  if (panels.flows) render_flows(*panels.flows);
+  if (panels.scalability) render_scalability(*panels.scalability);
   std::fflush(stdout);
 }
 
+// An optional panel's document; nullopt when the endpoint answers non-200
+// or its body does not parse.
+std::optional<json::Value> fetch_json(std::uint16_t port, const char* path) {
+  const auto res = telemetry::http_get(port, path);
+  if (!res || res.value().status != 200) return std::nullopt;
+  auto doc = json::Value::parse(res.value().body);
+  if (!doc) return std::nullopt;
+  return std::move(doc.value());
+}
+
 int top_command(int argc, char** argv) {
-  u64 port = 9100;
-  u64 interval_ms = 1000;
-  u64 iterations = 0;  // 0 = until Ctrl-C
-  for (int i = 2; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (flag_value(arg, "--port", &port) ||
-        flag_value(arg, "--interval", &interval_ms) ||
-        flag_value(arg, "--iterations", &iterations)) {
-      // parsed into the matching variable
-    } else {
-      std::fprintf(stderr, "unknown top option '%s'\n", arg);
-      return usage();
-    }
-  }
+  TopArgs a;
+  if (!parse_flags(a.flags(), argc, argv, 2)) return usage();
+  const auto port = static_cast<std::uint16_t>(a.port);
 
   install_stop_handler();
-  const bool clear_screen = iterations != 1;
-  for (u64 i = 0; (iterations == 0 || i < iterations) && g_stop == 0; ++i) {
-    auto ts = telemetry::http_get(static_cast<std::uint16_t>(port),
-                                  "/timeseries.json");
+  const bool clear_screen = a.iterations != 1;
+  for (u64 i = 0; (a.iterations == 0 || i < a.iterations) && g_stop == 0;
+       ++i) {
+    auto ts = telemetry::http_get(port, "/timeseries.json");
     if (!ts) {
       std::fprintf(stderr,
                    "error: %s\n(is `nfp_cli run <policy> --serve=%llu` "
@@ -1340,87 +1295,32 @@ int top_command(int argc, char** argv) {
                    ts.error().c_str(), static_cast<unsigned long long>(port));
       return 1;
     }
-    auto health =
-        telemetry::http_get(static_cast<std::uint16_t>(port), "/healthz");
+    auto health = telemetry::http_get(port, "/healthz");
     const auto doc = json::Value::parse(ts.value().body);
     if (!doc) {
       std::fprintf(stderr, "error: bad /timeseries.json: %s\n",
                    doc.error().c_str());
       return 1;
     }
-    TopView view = parse_top_view(doc.value());
-    // Optional: the active execution mode, published as the one-hot gauge
-    // exec_mode_active{mode="..."} == 1 on /metrics.json.
-    if (auto met = telemetry::http_get(static_cast<std::uint16_t>(port),
-                                       "/metrics.json");
-        met && met.value().status == 200) {
-      if (const auto mdoc = json::Value::parse(met.value().body); mdoc) {
-        if (const json::Value* gauges = mdoc.value().find("gauges");
-            gauges != nullptr && gauges->is_array()) {
-          for (const json::Value& g : gauges->items()) {
-            if (g.string_or("name", "") == "exec_mode_active" &&
-                g.number_or("value", 0) == 1.0) {
-              if (const json::Value* labels = g.find("labels");
-                  labels != nullptr) {
-                view.exec_mode = std::string(labels->string_or("mode", ""));
-              }
-            }
-          }
-        }
-      }
-    }
-    // Optional: per-shard attribution. Older / non-sharded servers 404.
-    if (auto scal = telemetry::http_get(static_cast<std::uint16_t>(port),
-                                        "/scalability.json");
-        scal && scal.value().status == 200) {
-      if (const auto sdoc = json::Value::parse(scal.value().body); sdoc) {
-        parse_scalability_view(sdoc.value(), &view);
-      }
-    }
-    // Optional: stage latency. Servers without an observatory 404.
-    if (auto lat = telemetry::http_get(static_cast<std::uint16_t>(port),
-                                       "/latency.json");
-        lat && lat.value().status == 200) {
-      if (const auto ldoc = json::Value::parse(lat.value().body); ldoc) {
-        parse_latency_view(ldoc.value(), &view);
-      }
-    }
-    // Optional: heavy hitters + drop taxonomy. Absent servers 404.
-    if (auto flows = telemetry::http_get(static_cast<std::uint16_t>(port),
-                                         "/flows.json");
-        flows && flows.value().status == 200) {
-      if (const auto fdoc = json::Value::parse(flows.value().body); fdoc) {
-        parse_flows_view(fdoc.value(), &view);
-      }
-    }
-    render_top(view, health ? health.value().body : std::string(),
+    const TopPanels panels{fetch_json(port, "/metrics.json"),
+                           fetch_json(port, "/latency.json"),
+                           fetch_json(port, "/flows.json"),
+                           fetch_json(port, "/scalability.json")};
+    render_top(parse_top_view(doc.value()), panels,
+               health ? health.value().body : std::string(),
                health ? health.value().status : 0, port, clear_screen);
-    if (iterations != 0 && i + 1 == iterations) break;
-    interruptible_sleep_ms(interval_ms);
+    if (a.iterations != 0 && i + 1 == a.iterations) break;
+    interruptible_sleep_ms(a.interval);
   }
   return 0;
 }
 
-Result<ServiceGraph> load_and_compile(const std::string& path,
-                                      CompileReport* report) {
-  std::ifstream in(path);
-  if (!in) {
-    return Result<ServiceGraph>::error("cannot read '" + path + "'");
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const auto policy = parse_policy(buffer.str());
-  if (!policy) return Result<ServiceGraph>::error(policy.error());
-  const ActionTable table = ActionTable::with_builtin_nfs();
-  return compile_policy(policy.value(), table, {}, report);
-}
+// --- nfp_cli scalability / latency / flows ------------------------------
 
-// --- nfp_cli scalability: shard-sweep with lost-pps attribution ---------
-
-// The default workload when no policy file is given: 4 parallel monitors
-// with per-branch copies and a 4-arrival merge — the shape whose 2-shard
-// scaling loss motivated the profiler (BENCH_shard_scaling.json par4).
-ServiceGraph make_scalability_par4() {
+// The workload when no policy file is given: 4 parallel monitors with
+// per-branch copies and a 4-arrival merge — the shape whose 2-shard scaling
+// loss motivated the profiler (BENCH_shard_scaling.json par4).
+ServiceGraph make_par4() {
   ServiceGraph g("par4");
   Segment seg;
   seg.mid = 0;
@@ -1435,366 +1335,64 @@ ServiceGraph make_scalability_par4() {
   return g;
 }
 
-std::vector<std::size_t> parse_shard_list(const std::string& text) {
-  std::vector<std::size_t> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    const u64 v = std::strtoull(item.c_str(), nullptr, 10);
-    if (v > 0) out.push_back(static_cast<std::size_t>(v));
-  }
-  return out;
-}
-
-int scalability_command(int argc, char** argv) {
-  std::vector<std::size_t> shard_counts = {1, 2, 4};
-  u64 packets = 20'000;
-  u64 flows = 64;
-  u64 frame_size = 256;
-  std::string skew = "uniform";
-  std::string mode = "auto";
-  bool want_json = false;
-
-  // Optional policy file directly after the command; flags otherwise.
-  ServiceGraph graph = make_scalability_par4();
-  int first_flag = 2;
-  if (argc > 2 && argv[2][0] != '-') {
-    CompileReport report;
-    auto compiled = load_and_compile(argv[2], &report);
-    if (!compiled) {
-      std::fprintf(stderr, "error: %s\n", compiled.error().c_str());
-      return 1;
-    }
-    graph = compiled.value();
-    first_flag = 3;
-  }
-  for (int i = first_flag; i < argc; ++i) {
-    const char* arg = argv[i];
-    std::string shard_list;
-    if (std::strcmp(arg, "--json") == 0) {
-      want_json = true;
-    } else if (flag_string(arg, "--shards", &shard_list)) {
-      shard_counts = parse_shard_list(shard_list);
-      if (shard_counts.empty()) {
-        std::fprintf(stderr, "bad --shards list '%s'\n", shard_list.c_str());
-        return usage();
-      }
-    } else if (flag_value(arg, "--packets", &packets) ||
-               flag_value(arg, "--flows", &flows) ||
-               flag_value(arg, "--size", &frame_size) ||
-               flag_string(arg, "--skew", &skew) ||
-               flag_string(arg, "--mode", &mode)) {
-      // parsed into the matching variable
-    } else {
-      std::fprintf(stderr, "unknown scalability option '%s'\n", arg);
-      return usage();
-    }
-  }
-  if (skew != "uniform" && skew != "zipf") {
-    std::fprintf(stderr, "unknown skew '%s' (uniform|zipf)\n", skew.c_str());
-    return usage();
-  }
-  ExecMode exec_mode = ExecMode::kAuto;
-  if (!resolve_mode_flag(mode, &exec_mode)) return usage();
-  if (packets == 0) packets = 1;
-  if (flows == 0) flows = 1;
-
-  const auto frames =
-      make_live_frames(packets, flows, skew == "zipf", frame_size);
-
-  if (!want_json) {
+// Sweeps shard counts and attributes every lost packet-per-second to a
+// cycle bucket (useful/starved/ring/pool/merge/classifier-miss).
+int scalability_command(const ServiceGraph& graph, int argc, char** argv,
+                        int first) {
+  ScalabilityArgs a;
+  if (!parse_flags(a.flags(), argc, argv, first)) return usage();
+  const Frames frames = make_frames(a);
+  if (!a.json) {
     std::printf("scalability sweep: policy='%s' (%s), %llu packets, "
                 "%llu flows, %s skew, %zu online CPUs\n",
                 graph.name().c_str(), graph.structure().c_str(),
-                static_cast<unsigned long long>(packets),
-                static_cast<unsigned long long>(flows), skew.c_str(),
+                static_cast<unsigned long long>(a.packets),
+                static_cast<unsigned long long>(a.flows), a.skew.c_str(),
                 online_cpu_count());
   }
 
   double base_pps = 0;
-  for (const std::size_t shards : shard_counts) {
+  for (const std::size_t shards : a.shard_counts) {
     ShardedDataplaneOptions opts;
     opts.shards = shards;
-    opts.pipeline.exec_mode = exec_mode;
-    ShardedDataplane dp({graph}, pass_all_factory, opts);
+    opts.pipeline.exec_mode = *parse_exec_mode(a.mode);
+    LiveSession session(graph, opts, {.scalability = true});
     // The concrete mode (auto resolves per graph at construction).
-    const char* active_mode = exec_mode_name(dp.exec_mode());
+    const char* active_mode = exec_mode_name(session.dp.exec_mode());
+    if (!session.start()) return 1;
+    session.feed_all(frames);
+    const telemetry::ScalabilityReport report = session.profiler->report();
+    if (!session.finish().status.is_ok()) return 1;
 
-    // Profiler before start() so perf_event inheritance covers the
-    // dataplane threads; baseline after start() to exclude spawn cost.
-    telemetry::ScalabilityProfiler profiler;
-    dp.register_scalability(profiler);
-    if (const Status st = dp.start(); !st.is_ok()) {
-      std::fprintf(stderr, "error: %s\n", st.message().c_str());
-      return 1;
-    }
-    profiler.reset_baseline();
-
-    for (const auto& frame : frames) {
-      dp.feed({frame.data(), frame.size()});
-    }
-    // Report before drain() joins the workers: the wall clock then matches
-    // the window the threads were actually accounting.
-    while (true) {
-      u64 done = 0;
-      for (std::size_t s = 0; s < dp.shard_count(); ++s) {
-        done += dp.shard_delivered(s) + dp.shard_dropped(s);
-      }
-      if (done >= frames.size()) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    const telemetry::ScalabilityReport report = profiler.report();
-    const ShardedResult res = dp.drain();
-    if (!res.status.is_ok()) {
-      std::fprintf(stderr, "error: %s\n", res.status.message().c_str());
-      return 1;
-    }
-
-    if (shards == shard_counts.front()) base_pps = report.total_pps;
-    const double scaling =
-        base_pps > 0 ? report.total_pps / base_pps : 0;
-    if (want_json) {
+    if (shards == a.shard_counts.front()) base_pps = report.total_pps;
+    const double scaling = base_pps > 0 ? report.total_pps / base_pps : 0;
+    if (a.json) {
       std::printf("{\"command\":\"scalability\",\"policy\":\"%s\","
                   "\"mode\":\"%s\",\"shards\":%zu,\"packets\":%llu,"
                   "\"flows\":%llu,\"skew\":\"%s\",\"online_cpus\":%zu,"
                   "\"scaling_vs_first\":%.3f,\"report\":%s}\n",
                   graph.name().c_str(), active_mode, shards,
-                  static_cast<unsigned long long>(packets),
-                  static_cast<unsigned long long>(flows), skew.c_str(),
+                  static_cast<unsigned long long>(a.packets),
+                  static_cast<unsigned long long>(a.flows), a.skew.c_str(),
                   online_cpu_count(), scaling, report.to_json().c_str());
     } else {
       std::printf("\n=== shards=%zu mode=%s  (%.0f pps aggregate, %.2fx vs "
                   "shards=%zu) ===\n%s",
                   shards, active_mode, report.total_pps, scaling,
-                  shard_counts.front(), report.to_text().c_str());
+                  a.shard_counts.front(), report.to_text().c_str());
     }
     std::fflush(stdout);
   }
   return 0;
 }
 
-// --- nfp_cli latency: the paper's core experiment, live -----------------
-
-// Flattens the graph's NFs into one sequential chain — the ONV/RTC view
-// of the same policy — so the comparison isolates graph shape.
-ServiceGraph flatten_sequential(const ServiceGraph& graph) {
-  std::vector<std::string> chain;
-  for (const Segment& seg : graph.segments()) {
-    for (const StageNf& nf : seg.nfs) chain.push_back(nf.name);
-  }
-  return ServiceGraph::sequential(graph.name() + "-chain", chain);
-}
-
-// One live run of `graph` with stage-latency sampling on; fills `out`
-// with the observatory's report over exactly this run's packets.
-int run_latency_plane(const ServiceGraph& graph,
-                      const std::vector<std::vector<u8>>& frames,
-                      std::size_t shards, std::size_t sample_every,
-                      ExecMode exec_mode, telemetry::LatencyReport* out) {
-  ShardedDataplaneOptions opts;
-  opts.shards = shards;
-  opts.pipeline.latency_sample_every = sample_every;
-  opts.pipeline.exec_mode = exec_mode;
-  ShardedDataplane dp({graph}, pass_all_factory, opts);
-
-  telemetry::LatencyObservatory::Options lat_options;
-  lat_options.sample_every = sample_every;
-  telemetry::LatencyObservatory obs(lat_options);
-  dp.register_latency(obs);
-
-  if (const Status st = dp.start(); !st.is_ok()) {
-    std::fprintf(stderr, "error: %s\n", st.message().c_str());
-    return 1;
-  }
-  obs.reset_baseline();
-  for (const auto& frame : frames) {
-    dp.feed({frame.data(), frame.size()});
-  }
-  // Report after the last packet resolves but before drain() joins the
-  // workers, so the wall window matches the accounted one.
-  while (true) {
-    u64 done = 0;
-    for (std::size_t s = 0; s < dp.shard_count(); ++s) {
-      done += dp.shard_delivered(s) + dp.shard_dropped(s);
-    }
-    if (done >= frames.size()) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  *out = obs.report();
-  const ShardedResult res = dp.drain();
-  if (!res.status.is_ok()) {
-    std::fprintf(stderr, "error: %s\n", res.status.message().c_str());
-    return 1;
-  }
-  return 0;
-}
-
-// `nfp_cli flows`: run a zipf elephant/mice workload through the sharded
-// dataplane and print the flow observatory's live view — cross-shard
-// merged top-K heavy hitters, flow churn, per-reason drop attribution and
-// per-graph accounting. --pool=N switches the director to NIC-like tail
-// drops with an N-slot ingest pool, so the drop-reason table fills with
-// ring_full/pool_exhausted attribution under overload.
-int flows_command(int argc, char** argv) {
-  u64 shards = 2;
-  u64 packets = 50'000;
-  u64 flows = 256;
-  u64 frame_size = 256;
-  u64 top_k = 10;
-  u64 pool = 0;
-  bool want_json = false;
-  std::string skew = "zipf";
-
-  // Optional policy file directly after the command; flags otherwise.
-  ServiceGraph graph = make_scalability_par4();
-  int first_flag = 2;
-  if (argc > 2 && argv[2][0] != '-') {
-    CompileReport report;
-    auto compiled = load_and_compile(argv[2], &report);
-    if (!compiled) {
-      std::fprintf(stderr, "error: %s\n", compiled.error().c_str());
-      return 1;
-    }
-    graph = compiled.value();
-    first_flag = 3;
-  }
-  for (int i = first_flag; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--json") == 0) {
-      want_json = true;
-    } else if (flag_value(arg, "--shards", &shards) ||
-               flag_value(arg, "--packets", &packets) ||
-               flag_value(arg, "--flows", &flows) ||
-               flag_value(arg, "--size", &frame_size) ||
-               flag_value(arg, "--top", &top_k) ||
-               flag_value(arg, "--pool", &pool) ||
-               flag_string(arg, "--skew", &skew)) {
-      // parsed into the matching variable
-    } else {
-      std::fprintf(stderr, "unknown flows option '%s'\n", arg);
-      return usage();
-    }
-  }
-  if (skew != "uniform" && skew != "zipf") {
-    std::fprintf(stderr, "unknown skew '%s' (uniform|zipf)\n", skew.c_str());
-    return usage();
-  }
-  if (packets == 0) packets = 1;
-  if (flows == 0) flows = 1;
-  if (top_k == 0) top_k = 1;
-
-  const auto frames =
-      make_live_frames(packets, flows, skew == "zipf", frame_size);
-
-  ShardedDataplaneOptions opts;
-  opts.shards = static_cast<std::size_t>(shards);
-  if (pool != 0) {
-    // Overload demo: a tiny RX path with tail drops instead of blocking.
-    // The constructor keeps pool >= ring + burst, so the ring is the
-    // binding constraint and the drop table fills with ring_full.
-    opts.ingest_pool_size = static_cast<std::size_t>(pool);
-    opts.ingest_ring_depth = static_cast<std::size_t>(pool);
-    opts.drop_on_ingest_backpressure = true;
-  }
-  ShardedDataplane dp({graph}, pass_all_factory, opts);
-
-  telemetry::FlowObservatoryOptions fopts;
-  fopts.top_k = static_cast<std::size_t>(top_k);
-  telemetry::FlowObservatory flow_obs(fopts);
-  dp.register_flows(flow_obs);
-
-  if (const Status st = dp.start(); !st.is_ok()) {
-    std::fprintf(stderr, "error: %s\n", st.message().c_str());
-    return 1;
-  }
-  flow_obs.reset_baseline();
-
-  for (const auto& frame : frames) {
-    dp.feed({frame.data(), frame.size()});
-  }
-  // Wait for the shards to finish the injected traffic (delivered or
-  // dropped-with-reason) before reporting, so the table is complete.
-  while (true) {
-    u64 done = 0;
-    for (std::size_t s = 0; s < dp.shard_count(); ++s) {
-      done += dp.shard_delivered(s) + dp.shard_dropped(s);
-    }
-    if (done >= frames.size()) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  const telemetry::FlowReport report = flow_obs.report();
-  const ShardedResult res = dp.drain();
-  if (!res.status.is_ok()) {
-    std::fprintf(stderr, "error: %s\n", res.status.message().c_str());
-    return 1;
-  }
-
-  if (want_json) {
-    std::printf("%s\n", report.to_json().c_str());
-    return 0;
-  }
-  std::printf("flows: policy='%s' (%s), %llu packets, %llu flows, %s skew, "
-              "%zu shards%s\n",
-              graph.name().c_str(), graph.structure().c_str(),
-              static_cast<unsigned long long>(packets),
-              static_cast<unsigned long long>(flows), skew.c_str(),
-              dp.shard_count(),
-              pool != 0 ? " (tail-drop ingest)" : "");
-  std::printf("%s", report.to_text().c_str());
-  return 0;
-}
-
-int latency_command(int argc, char** argv) {
-  u64 shards = 2;
-  u64 packets = 20'000;
-  u64 flows = 64;
-  u64 frame_size = 256;
-  u64 sample_every = 8;
-  std::string skew = "uniform";
-  std::string mode = "auto";
-  bool want_json = false;
-
-  // Optional policy file directly after the command; the default workload
-  // is the 4-wide parallel monitor stage (vs. its 4-hop chain).
-  ServiceGraph graph = make_scalability_par4();
-  int first_flag = 2;
-  if (argc > 2 && argv[2][0] != '-') {
-    CompileReport report;
-    auto compiled = load_and_compile(argv[2], &report);
-    if (!compiled) {
-      std::fprintf(stderr, "error: %s\n", compiled.error().c_str());
-      return 1;
-    }
-    graph = compiled.value();
-    first_flag = 3;
-  }
-  for (int i = first_flag; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--json") == 0) {
-      want_json = true;
-    } else if (flag_value(arg, "--shards", &shards) ||
-               flag_value(arg, "--packets", &packets) ||
-               flag_value(arg, "--flows", &flows) ||
-               flag_value(arg, "--size", &frame_size) ||
-               flag_value(arg, "--sample-every", &sample_every) ||
-               flag_string(arg, "--skew", &skew) ||
-               flag_string(arg, "--mode", &mode)) {
-      // parsed into the matching variable
-    } else {
-      std::fprintf(stderr, "unknown latency option '%s'\n", arg);
-      return usage();
-    }
-  }
-  if (skew != "uniform" && skew != "zipf") {
-    std::fprintf(stderr, "unknown skew '%s' (uniform|zipf)\n", skew.c_str());
-    return usage();
-  }
-  ExecMode exec_mode = ExecMode::kAuto;
-  if (!resolve_mode_flag(mode, &exec_mode)) return usage();
-  if (packets == 0) packets = 1;
-  if (flows == 0) flows = 1;
-  if (shards == 0) shards = 1;
-  if (sample_every == 0) sample_every = 1;
+// The paper's core experiment, live: runs the NFP-parallel graph and its
+// flattened sequential chain on the sharded dataplane and prints the
+// stage-resolved latency-reduction table (p50/p99/p99.9 per stage).
+int latency_command(const ServiceGraph& graph, int argc, char** argv,
+                    int first) {
+  LatencyArgs a;
+  if (!parse_flags(a.flags(), argc, argv, first)) return usage();
   if (graph.is_sequential()) {
     std::fprintf(stderr,
                  "warning: policy '%s' has no parallel stage; both runs "
@@ -1802,36 +1400,38 @@ int latency_command(int argc, char** argv) {
                  graph.name().c_str());
   }
 
-  const auto frames =
-      make_live_frames(packets, flows, skew == "zipf", frame_size);
-  const ServiceGraph chain = flatten_sequential(graph);
-
-  if (!want_json) {
+  const Frames frames = make_frames(a);
+  // The same NFs as one chain, so the comparison isolates graph shape.
+  const ServiceGraph chain =
+      ServiceGraph::sequential(graph.name() + "-chain", nf_chain(graph));
+  if (!a.json) {
     std::printf("latency experiment: '%s' (%s) vs sequential chain (%s), "
                 "%llu packets/plane, %llu flows, %s skew, %zu shards, "
                 "mode=%s, sampling 1/%llu flows\n",
                 graph.name().c_str(), graph.structure().c_str(),
                 chain.structure().c_str(),
-                static_cast<unsigned long long>(packets),
-                static_cast<unsigned long long>(flows), skew.c_str(),
-                static_cast<std::size_t>(shards), mode.c_str(),
-                static_cast<unsigned long long>(sample_every));
+                static_cast<unsigned long long>(a.packets),
+                static_cast<unsigned long long>(a.flows), a.skew.c_str(),
+                static_cast<std::size_t>(a.shards), a.mode.c_str(),
+                static_cast<unsigned long long>(a.sample_every));
   }
 
+  // One live run per plane; each report covers exactly that run's packets.
+  ShardedDataplaneOptions opts;
+  opts.shards = static_cast<std::size_t>(a.shards);
+  opts.pipeline.latency_sample_every = static_cast<std::size_t>(a.sample_every);
+  opts.pipeline.exec_mode = *parse_exec_mode(a.mode);
+  const auto measure = [&](const ServiceGraph& plane,
+                           telemetry::LatencyReport* out) {
+    LiveSession session(plane, opts, {.latency = true});
+    if (!session.start()) return false;
+    session.feed_all(frames);
+    *out = session.latency->report();
+    return session.finish().status.is_ok();
+  };
   telemetry::LatencyReport seq_rep;
   telemetry::LatencyReport par_rep;
-  if (const int rc = run_latency_plane(
-          chain, frames, static_cast<std::size_t>(shards),
-          static_cast<std::size_t>(sample_every), exec_mode, &seq_rep);
-      rc != 0) {
-    return rc;
-  }
-  if (const int rc = run_latency_plane(
-          graph, frames, static_cast<std::size_t>(shards),
-          static_cast<std::size_t>(sample_every), exec_mode, &par_rep);
-      rc != 0) {
-    return rc;
-  }
+  if (!measure(chain, &seq_rep) || !measure(graph, &par_rep)) return 1;
 
   using telemetry::LatencyStage;
   const telemetry::HdrSnapshot& st = seq_rep.stage(LatencyStage::kTotal);
@@ -1847,7 +1447,7 @@ int latency_command(int argc, char** argv) {
                                     static_cast<double>(pt.quantile(0.999)));
   const double red_mean = reduction(st.mean(), pt.mean());
 
-  if (want_json) {
+  if (a.json) {
     std::printf("{\"command\":\"latency\",\"policy\":\"%s\","
                 "\"structure\":\"%s\",\"chain_structure\":\"%s\","
                 "\"mode\":\"%s\","
@@ -1857,11 +1457,11 @@ int latency_command(int argc, char** argv) {
                 "\"reduction_pct\":{\"p50\":%.1f,\"p99\":%.1f,"
                 "\"p999\":%.1f,\"mean\":%.1f}}\n",
                 graph.name().c_str(), graph.structure().c_str(),
-                chain.structure().c_str(), mode.c_str(),
-                static_cast<std::size_t>(shards),
-                static_cast<unsigned long long>(packets),
-                static_cast<unsigned long long>(flows), skew.c_str(),
-                static_cast<unsigned long long>(sample_every),
+                chain.structure().c_str(), a.mode.c_str(),
+                static_cast<std::size_t>(a.shards),
+                static_cast<unsigned long long>(a.packets),
+                static_cast<unsigned long long>(a.flows), a.skew.c_str(),
+                static_cast<unsigned long long>(a.sample_every),
                 seq_rep.to_json().c_str(), par_rep.to_json().c_str(),
                 red_p50, red_p99, red_p999, red_mean);
     return 0;
@@ -1881,48 +1481,111 @@ int latency_command(int argc, char** argv) {
   return 0;
 }
 
+// Runs a zipf elephant/mice workload and prints the flow observatory's
+// view: cross-shard merged top-K heavy hitters, flow churn, per-reason drop
+// attribution and per-graph accounting. --pool=N switches the director to
+// NIC-like tail drops with an N-slot ingest pool, so the drop-reason table
+// fills with ring_full/pool_exhausted attribution under overload.
+int flows_command(const ServiceGraph& graph, int argc, char** argv,
+                  int first) {
+  FlowsArgs a;
+  if (!parse_flags(a.flags(), argc, argv, first)) return usage();
+  const Frames frames = make_frames(a);
+
+  ShardedDataplaneOptions opts;
+  opts.shards = static_cast<std::size_t>(a.shards);
+  if (a.pool != 0) {
+    // The constructor keeps pool >= ring + burst, so the ring is the
+    // binding constraint and the drop table fills with ring_full.
+    opts.ingest_pool_size = static_cast<std::size_t>(a.pool);
+    opts.ingest_ring_depth = static_cast<std::size_t>(a.pool);
+    opts.drop_on_ingest_backpressure = true;
+  }
+  LiveSession session(
+      graph, opts, {.flows = true, .top_k = static_cast<std::size_t>(a.top)});
+  if (!session.start()) return 1;
+  session.feed_all(frames);
+  const telemetry::FlowReport report = session.flows->report();
+  if (!session.finish().status.is_ok()) return 1;
+
+  if (a.json) {
+    std::printf("%s\n", report.to_json().c_str());
+    return 0;
+  }
+  std::printf("flows: policy='%s' (%s), %llu packets, %llu flows, %s skew, "
+              "%zu shards%s\n",
+              graph.name().c_str(), graph.structure().c_str(),
+              static_cast<unsigned long long>(a.packets),
+              static_cast<unsigned long long>(a.flows), a.skew.c_str(),
+              session.dp.shard_count(),
+              a.pool != 0 ? " (tail-drop ingest)" : "");
+  std::printf("%s", report.to_text().c_str());
+  return 0;
+}
+
+// Reads and compiles a policy file; prints the error, or the compiler's
+// warnings, to stderr.
+std::optional<ServiceGraph> load_policy(const std::string& path,
+                                        CompileReport* report) {
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "error: cannot read '%s'\n", path.c_str());
+    return std::nullopt;
+  }
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const auto policy = parse_policy(buffer.str());
+  Result<ServiceGraph> graph =
+      policy ? compile_policy(policy.value(), ActionTable::with_builtin_nfs(),
+                              {}, report)
+             : Result<ServiceGraph>::error(policy.error());
+  if (!graph) {
+    std::fprintf(stderr, "error: %s\n", graph.error().c_str());
+    return std::nullopt;
+  }
+  for (const auto& warning : report->warnings) {
+    std::fprintf(stderr, "warning: %s\n", warning.c_str());
+  }
+  return std::move(graph.value());
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
 
-  if (command == "top") {
-    return top_command(argc, argv);
-  }
-
-  if (command == "scalability") {
-    return scalability_command(argc, argv);
-  }
-
-  if (command == "latency") {
-    return latency_command(argc, argv);
-  }
-
-  if (command == "flows") {
-    return flows_command(argc, argv);
-  }
-
   if (command == "stats") {
     const ActionTable table = ActionTable::with_builtin_nfs();
-    const PairStats stats = compute_pair_stats(table);
-    std::printf("%s", pair_stats_table(stats).c_str());
+    std::printf("%s", pair_stats_table(compute_pair_stats(table)).c_str());
     return 0;
+  }
+  if (command == "top") return top_command(argc, argv);
+
+  // These take an optional policy file before their flags and run the par4
+  // stage without one.
+  using LiveCommand = int (*)(const ServiceGraph&, int, char**, int);
+  const std::map<std::string, LiveCommand> optional_policy = {
+      {"scalability", scalability_command},
+      {"latency", latency_command},
+      {"flows", flows_command}};
+  if (const auto it = optional_policy.find(command);
+      it != optional_policy.end()) {
+    if (argc < 3 || argv[2][0] == '-') {
+      return it->second(make_par4(), argc, argv, 2);
+    }
+    CompileReport report;
+    const auto graph = load_policy(argv[2], &report);
+    return graph ? it->second(*graph, argc, argv, 3) : 1;
   }
 
   if (argc < 3) return usage();
   CompileReport report;
-  auto graph = load_and_compile(argv[2], &report);
-  if (!graph) {
-    std::fprintf(stderr, "error: %s\n", graph.error().c_str());
-    return 1;
-  }
-  for (const auto& warning : report.warnings) {
-    std::fprintf(stderr, "warning: %s\n", warning.c_str());
-  }
+  const auto graph = load_policy(argv[2], &report);
+  if (!graph) return 1;
 
   if (command == "compile") {
-    std::printf("%s", graph.value().to_string().c_str());
+    std::printf("%s", graph->to_string().c_str());
     for (const auto& d : report.decisions) {
       std::printf("  %s | %s -> %s\n", d.nf1.c_str(), d.nf2.c_str(),
                   std::string(pair_parallelism_name(d.verdict)).c_str());
@@ -1930,34 +1593,32 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (command == "tables") {
-    std::printf("%s", tables_to_string(generate_tables(graph.value())).c_str());
+    std::printf("%s", tables_to_string(generate_tables(*graph)).c_str());
     return 0;
   }
   if (command == "dot") {
-    std::printf("%s", graph.value().to_dot().c_str());
+    std::printf("%s", graph->to_dot().c_str());
     return 0;
   }
-  if (command == "run") {
-    return run_dataplane(graph.value(), argc, argv);
-  }
-  if (command == "live") {
-    return live_dataplane(graph.value(), argc, argv);
-  }
-  if (command == "profile") {
-    return profile_dataplane(graph.value(), argc, argv);
-  }
+  if (command == "run") return run_command(*graph, argc, argv);
+  if (command == "live") return live_command(*graph, argc, argv);
+  if (command == "profile") return profile_command(*graph, argc, argv);
   if (command == "plan") {
     cluster::PartitionOptions options;
     if (argc > 3) {
-      options.cores_per_server =
-          static_cast<std::size_t>(std::stoul(argv[3]));
+      const auto cores = parse_u64(argv[3]);
+      if (!cores) {
+        std::fprintf(stderr, "bad core count '%s'\n", argv[3]);
+        return usage();
+      }
+      options.cores_per_server = static_cast<std::size_t>(*cores);
     }
-    const auto plan = cluster::partition_graph(graph.value(), options);
+    const auto plan = cluster::partition_graph(*graph, options);
     if (!plan) {
       std::fprintf(stderr, "error: %s\n", plan.error().c_str());
       return 1;
     }
-    std::printf("%s", cluster::plan_to_string(graph.value(), plan.value()).c_str());
+    std::printf("%s", cluster::plan_to_string(*graph, plan.value()).c_str());
     return 0;
   }
   return usage();

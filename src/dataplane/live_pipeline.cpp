@@ -42,10 +42,6 @@ LivePipeline::LivePipeline(
     : graph_(std::move(graph)),
       opts_(options),
       pool_(std::max<std::size_t>(1, options.pool_size)) {
-  if (opts_.per_packet_compat) {
-    opts_.burst_size = 1;
-    opts_.magazine_size = 0;
-  }
   opts_.ring_depth = std::max<std::size_t>(4, opts_.ring_depth);
   opts_.burst_size =
       std::clamp<std::size_t>(opts_.burst_size, 1, opts_.ring_depth);
@@ -61,14 +57,11 @@ LivePipeline::LivePipeline(
   opts_.in_flight_window = std::clamp<std::size_t>(opts_.in_flight_window, 1,
                                                    opts_.ring_depth / 2);
 
-  // Resolve the execution mode. compat exists to reproduce the old
-  // pipelined hot path, so it pins the mode; auto fuses sequential graphs
-  // (rings would only add hand-off cost between single-consumer hops) and
-  // keeps parallel graphs pipelined, where cross-thread execution is the
-  // paper's actual mechanism.
-  if (opts_.per_packet_compat) {
-    opts_.exec_mode = ExecMode::kPipelined;
-  } else if (opts_.exec_mode == ExecMode::kAuto) {
+  // Resolve the execution mode: auto fuses sequential graphs (rings would
+  // only add hand-off cost between single-consumer hops) and keeps parallel
+  // graphs pipelined, where cross-thread execution is the paper's actual
+  // mechanism.
+  if (opts_.exec_mode == ExecMode::kAuto) {
     opts_.exec_mode = graph_.is_sequential() ? ExecMode::kRtc
                                              : ExecMode::kPipelined;
   }
@@ -155,8 +148,7 @@ LivePipeline::~LivePipeline() {
 
 PacketMagazine LivePipeline::make_magazine() {
   return PacketMagazine(pool_, opts_.magazine_size, &mag_refill_total_,
-                        &mag_flush_total_,
-                        opts_.per_packet_compat ? &compat_mu_ : nullptr);
+                        &mag_flush_total_);
 }
 
 void LivePipeline::maybe_pin_current_thread() {
@@ -734,8 +726,7 @@ Status LivePipeline::start() {
         "runs exactly once; construct a fresh instance for another run");
   }
   feeder_mag_ = std::make_unique<PacketMagazine>(
-      pool_, opts_.magazine_size, &mag_refill_total_, &mag_flush_total_,
-      opts_.per_packet_compat ? &compat_mu_ : nullptr);
+      pool_, opts_.magazine_size, &mag_refill_total_, &mag_flush_total_);
   for (std::size_t s = 0; s < segments_.size(); ++s) {
     for (std::size_t k = 0; k < segments_[s].size(); ++k) {
       segments_[s][k].thread =

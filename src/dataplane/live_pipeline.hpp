@@ -20,8 +20,7 @@
 //     MergeTable per parallel segment with fixed-capacity arrival rows,
 //   * batched result delivery — completed outputs and drops are buffered
 //     thread-locally and the result lock is taken once per burst.
-// bench_hotpath_throughput measures the effect; `per_packet_compat` in the
-// options reproduces the old serialized per-packet path as its baseline.
+// bench_hotpath_throughput measures the effect.
 #pragma once
 
 #include <array>
@@ -92,10 +91,6 @@ struct LivePipelineOptions {
   std::size_t in_flight_window = 0; // 0 => ring_depth / 4
   std::size_t magazine_size = 64;   // per-thread free-slot cache; 0 = none
   std::size_t burst_size = 32;      // ring burst granularity
-  // Reproduces the pre-batching hot path — burst 1, no magazines, every
-  // pool operation behind one global mutex — as the measurable baseline
-  // for bench_hotpath_throughput. Output-equivalent to the batched path.
-  bool per_packet_compat = false;
   // When >= 0, every pipeline thread (NFs + merger) pins itself to this
   // core via cpu_affinity — the sharded dataplane's shared-nothing
   // one-core-per-shard placement. Pin failures degrade to unpinned
@@ -113,8 +108,7 @@ struct LivePipelineOptions {
   // clock reads per NF hop (bench's lat32-acct/noacct pair gates the cost).
   std::size_t latency_sample_every = 0;
   // Execution mode (see ExecMode above). kAuto resolves at construction;
-  // exec_mode() reports the resolved choice. per_packet_compat forces
-  // kPipelined — compat exists to reproduce the old pipelined hot path.
+  // exec_mode() reports the resolved choice.
   ExecMode exec_mode = ExecMode::kPipelined;
 };
 
@@ -268,8 +262,7 @@ class LivePipeline {
     std::unique_ptr<telemetry::StageLatencyBlock> lat_block;
   };
 
-  // Builds a thread's magazine wired to this pipeline's counters (and the
-  // compat mutex in per-packet mode).
+  // Builds a thread's magazine wired to this pipeline's counters.
   PacketMagazine make_magazine();
 
   // Applies opts_.pin_core to the calling pipeline thread, keeping the
@@ -332,8 +325,6 @@ class LivePipeline {
   // Aggregated magazine traffic across all pipeline threads.
   std::atomic<u64> mag_refill_total_{0};
   std::atomic<u64> mag_flush_total_{0};
-  // Serializes pool access in per_packet_compat mode only.
-  std::mutex compat_mu_;
 
   // Streaming lifecycle: kNew --start()--> kRunning --drain()--> kFinished.
   // The CAS in start() is what turns the documented run-once contract into

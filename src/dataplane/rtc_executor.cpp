@@ -73,8 +73,7 @@ Status RtcExecutor::start() {
         "instance for another run");
   }
   mag_ = std::make_unique<PacketMagazine>(pool_, opts_.magazine_size,
-                                          mag_refill_total_,
-                                          mag_flush_total_, nullptr);
+                                          mag_refill_total_, mag_flush_total_);
   return Status::ok();
 }
 

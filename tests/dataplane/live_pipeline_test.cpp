@@ -131,9 +131,9 @@ ServiceGraph make_tree_graph() {
 }
 
 // The batched hot path (burst rings, magazines, merge table, batched
-// commits) must be output-equivalent to the per-packet compat path, which
-// reproduces the pre-batching serialized pipeline.
-TEST(LivePipeline, BatchedPathMatchesPerPacketCompat) {
+// commits) must be output-equivalent to the same pipeline run one packet
+// per burst with no magazines.
+TEST(LivePipeline, BatchedPathMatchesBurstOneNoMagazine) {
   const auto frames = make_frames(200);
 
   LivePipelineOptions batched;
@@ -142,9 +142,10 @@ TEST(LivePipeline, BatchedPathMatchesPerPacketCompat) {
   LivePipeline fast(make_tree_graph(), {}, batched);
   LiveResult fast_result = fast.run(frames);
 
-  LivePipelineOptions compat;
-  compat.per_packet_compat = true;
-  LivePipeline slow(make_tree_graph(), {}, compat);
+  LivePipelineOptions unbatched;
+  unbatched.burst_size = 1;
+  unbatched.magazine_size = 0;
+  LivePipeline slow(make_tree_graph(), {}, unbatched);
   LiveResult slow_result = slow.run(frames);
 
   EXPECT_EQ(fast_result.dropped, slow_result.dropped);

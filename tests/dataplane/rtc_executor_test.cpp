@@ -163,13 +163,6 @@ TEST(RtcExecutor, AutoModeFusesSequentialGraphsOnly) {
   EXPECT_EQ(fused.exec_mode(), ExecMode::kRtc);
   EXPECT_EQ(fused.run(frames).outputs.size(), frames.size());
 
-  // compat reproduces the pre-batching pipelined path; it pins the mode.
-  LivePipelineOptions compat;
-  compat.exec_mode = ExecMode::kRtc;
-  compat.per_packet_compat = true;
-  LivePipeline pinned(ServiceGraph::sequential("s", {"monitor"}), {}, compat);
-  EXPECT_EQ(pinned.exec_mode(), ExecMode::kPipelined);
-
   EXPECT_NE(parse_exec_mode("rtc"), std::nullopt);
   EXPECT_EQ(parse_exec_mode("bogus"), std::nullopt);
   EXPECT_STREQ(exec_mode_name(ExecMode::kRtc), "rtc");
