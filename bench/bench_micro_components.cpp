@@ -1,12 +1,13 @@
 // Micro-benchmarks (google-benchmark) of the real data-structure hot paths
 // backing the simulated dataplane: rings, pool, header/full copies, LPM,
-// ACL, AES, checksums, merging and policy compilation. These measure the
+// ACL, per-flow tables, AES, checksums, merging and policy compilation. These measure the
 // actual C++ implementations on this host (not simulated time).
 #include <benchmark/benchmark.h>
 
 #include "acl/acl.hpp"
 #include "crypto/aes128.hpp"
 #include "dpi/aho_corasick.hpp"
+#include "flow/flow_table.hpp"
 #include "lpm/lpm_table.hpp"
 #include "orch/compiler.hpp"
 #include "packet/builder.hpp"
@@ -89,6 +90,42 @@ void BM_AclEvaluate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AclEvaluate);
+
+// FlowTable hit path: 512 resident flows, each op a touch() of one of them
+// (the microflow cache's steady state).
+void BM_FlowTableHit(benchmark::State& state) {
+  constexpr u32 kFlows = 512;
+  FlowTable<u64> table(65536);
+  for (u32 f = 0; f < kFlows; ++f) {
+    table.get_or_create({0x0A000000 + f, 0x0B000001, 1000, 80, 6}) = f;
+  }
+  u32 f = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        table.touch({0x0A000000 + f, 0x0B000001, 1000, 80, 6}));
+    f = (f + 1) % kFlows;
+  }
+}
+BENCHMARK(BM_FlowTableHit);
+
+// FlowTable churn at capacity: every op inserts a fresh 5-tuple, so each
+// is a miss, an LRU eviction and an insert (a SYN flood through the
+// microflow cache, /1024, or a monitor, /65536).
+void BM_FlowTableChurn(benchmark::State& state) {
+  const auto capacity = static_cast<std::size_t>(state.range(0));
+  FlowTable<u64> table(capacity);
+  u64 next = 0;
+  const auto fresh = [&next] {
+    const u64 n = next++;
+    return FiveTuple{0x0A000000 + static_cast<u32>(n), 0x0B000001,
+                     static_cast<u16>(n >> 32), 80, 6};
+  };
+  for (std::size_t i = 0; i < capacity; ++i) table.get_or_create(fresh());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(++table.get_or_create(fresh()));
+  }
+}
+BENCHMARK(BM_FlowTableChurn)->Arg(1024)->Arg(65536);
 
 void BM_AesEncryptBlock(benchmark::State& state) {
   Aes128 aes(Aes128::Key{0x2b});

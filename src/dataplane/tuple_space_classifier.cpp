@@ -76,14 +76,23 @@ std::shared_ptr<const TupleSpaceClassifier> TupleSpaceClassifier::build(
   auto snap = std::shared_ptr<TupleSpaceClassifier>(
       new TupleSpaceClassifier(graph_count));
   snap->rule_count_ = rules.size();
+  snap->cells_.reserve(exact.size() + rules.size());
   snap->exact_.reserve(exact.size());
   for (const auto& [flow, graph] : exact) {
-    snap->exact_[flow] = snap->clamp_graph(graph);
+    snap->exact_.insert(flow_hash32(flow),
+                        static_cast<u32>(snap->cells_.size()));
+    snap->cells_.push_back({flow, {0, 0, snap->clamp_graph(graph)}});
   }
 
   // Group rules by mask signature; within a (tuple, masked key) cell keep
   // only the winner by (priority desc, insertion order asc) — losers in the
   // same cell match exactly the same packets and are unreachable.
+  struct Built {
+    Tuple tuple;
+    FlowIndex table;
+    std::size_t entries = 0;
+  };
+  std::vector<Built> built;
   std::map<std::tuple<u32, u32, u8>, std::size_t> index_of;
   for (std::size_t seq = 0; seq < rules.size(); ++seq) {
     const CtRule& rule = rules[seq];
@@ -91,7 +100,7 @@ std::shared_ptr<const TupleSpaceClassifier> TupleSpaceClassifier::build(
                                      (rule.match_dst_port ? 2u : 0u) |
                                      (rule.match_proto ? 4u : 0u));
     const auto sig = std::make_tuple(rule.src_mask, rule.dst_mask, flags);
-    auto [it, fresh] = index_of.try_emplace(sig, snap->tuples_.size());
+    auto [it, fresh] = index_of.try_emplace(sig, built.size());
     if (fresh) {
       Tuple t;
       t.src_mask = rule.src_mask;
@@ -102,21 +111,30 @@ std::shared_ptr<const TupleSpaceClassifier> TupleSpaceClassifier::build(
       t.max_priority = rule.priority;
       t.src_prefix_len = prefix_len_of(rule.src_mask);
       t.dst_prefix_len = prefix_len_of(rule.dst_mask);
-      snap->tuples_.push_back(std::move(t));
+      snap->src_all_prefixes_ &= t.src_prefix_len > 0;
+      snap->dst_all_prefixes_ &= t.dst_prefix_len > 0;
+      built.push_back({t, FlowIndex{}, 0});
     }
-    Tuple& tuple = snap->tuples_[it->second];
+    Built& b = built[it->second];
+    Tuple& tuple = b.tuple;
     tuple.max_priority = std::max(tuple.max_priority, rule.priority);
     const FiveTuple key =
         masked_key({rule.src_ip, rule.dst_ip, rule.src_port, rule.dst_port,
                     rule.proto},
                    rule.src_mask, rule.dst_mask, rule.match_src_port,
                    rule.match_dst_port, rule.match_proto);
-    Candidate cand{rule.priority, static_cast<u32>(seq),
-                   snap->clamp_graph(rule.graph)};
-    auto [entry, inserted] = tuple.entries.try_emplace(key, cand);
-    if (!inserted && cand.priority > entry->second.priority) {
+    const Candidate cand{rule.priority, static_cast<u32>(seq),
+                         snap->clamp_graph(rule.graph)};
+    const u32 hash = flow_hash32(key);
+    const u32 slot = b.table.find(
+        hash, [&](u32 s) { return snap->cells_[s].key == key; });
+    if (slot == kNoSlot) {
+      b.table.reserve(++b.entries);
+      b.table.insert(hash, static_cast<u32>(snap->cells_.size()));
+      snap->cells_.push_back({key, cand});
+    } else if (cand.priority > snap->cells_[slot].cand.priority) {
       // Equal priority keeps the incumbent: lower seq wins the tie.
-      entry->second = cand;
+      snap->cells_[slot].cand = cand;
     }
     if (tuple.src_prefix_len > 0) {
       snap->src_trie_.insert(rule.src_ip & rule.src_mask,
@@ -132,16 +150,23 @@ std::shared_ptr<const TupleSpaceClassifier> TupleSpaceClassifier::build(
 
   // Descending max_priority lets classify() stop the walk once the best
   // verdict so far strictly outranks everything a later tuple can hold.
-  std::stable_sort(snap->tuples_.begin(), snap->tuples_.end(),
-                   [](const Tuple& a, const Tuple& b) {
-                     return a.max_priority > b.max_priority;
+  std::stable_sort(built.begin(), built.end(),
+                   [](const Built& a, const Built& b) {
+                     return a.tuple.max_priority > b.tuple.max_priority;
                    });
+  snap->tuples_.reserve(built.size());
+  snap->tables_.reserve(built.size());
+  for (Built& b : built) {
+    snap->tuples_.push_back(b.tuple);
+    snap->tables_.push_back(std::move(b.table));
+  }
   return snap;
 }
 
 std::size_t TupleSpaceClassifier::classify(const FiveTuple& flow) const {
-  const auto it = exact_.find(flow);
-  if (it != exact_.end()) return it->second;
+  if (exact_.positions() != 0) {  // most deployments install no exact flow
+    if (const Cell* hit = probe(exact_, flow)) return hit->cand.graph;
+  }
 
   // One trie walk per direction yields, for every prefix length at once,
   // whether this address lies under some rule prefix of that length.
@@ -149,9 +174,15 @@ std::size_t TupleSpaceClassifier::classify(const FiveTuple& flow) const {
       src_trie_used_ ? src_trie_.match_length_mask(flow.src_ip) : 0;
   const u64 dst_bits =
       dst_trie_used_ ? dst_trie_.match_length_mask(flow.dst_ip) : 0;
+  if ((src_bits == 0 && src_all_prefixes_) ||
+      (dst_bits == 0 && dst_all_prefixes_)) {
+    return 0;  // outside every rule's subnets: the prefix prune skips all
+  }
 
   const Candidate* best = nullptr;
-  for (const Tuple& tuple : tuples_) {
+  const Tuple* const first = tuples_.data();
+  for (const Tuple* t = first; t != first + tuples_.size(); ++t) {
+    const Tuple& tuple = *t;
     // Strictly greater: an equal-priority candidate in a later tuple can
     // still win the tie on insertion order.
     if (best != nullptr && best->priority > tuple.max_priority) break;
@@ -167,9 +198,9 @@ std::size_t TupleSpaceClassifier::classify(const FiveTuple& flow) const {
         masked_key(flow, tuple.src_mask, tuple.dst_mask,
                    tuple.match_src_port, tuple.match_dst_port,
                    tuple.match_proto);
-    const auto entry = tuple.entries.find(key);
-    if (entry == tuple.entries.end()) continue;
-    const Candidate& cand = entry->second;
+    const Cell* entry = probe(tables_[t - first], key);
+    if (entry == nullptr) continue;
+    const Candidate& cand = entry->cand;
     if (best == nullptr || cand.priority > best->priority ||
         (cand.priority == best->priority && cand.seq < best->seq)) {
       best = &cand;

@@ -20,7 +20,16 @@
 //    yields a bitmask of prefix lengths under which this address matches
 //    *some* rule, and tuples whose prefix length bit is clear are skipped
 //    without hashing. Non-contiguous and wildcard masks opt out of the
-//    prune (always probed) — pruning is conservative-only.
+//    prune (always probed) — pruning is conservative-only. When every
+//    tuple's src (or dst) mask is a prefix and no stored prefix covers the
+//    address, no rule can match and the walk is skipped altogether.
+//
+// Layout: every probe table — one per mask signature, plus the exact-match
+// table — is a FlowIndex (flow/flow_index.hpp), a linear-probing array of
+// {hash bits, cell} at load <= 1/2, built once in build() over one shared
+// array of {key, verdict} cells. The walk itself reads only a dense array
+// of per-tuple masks, flags, prefix lengths and priority bounds; a tuple's
+// probe table is touched only when both prunes let it through.
 //
 // A TupleSpaceClassifier is an immutable snapshot: build() constructs one
 // from the authoritative rule list, classify() is const and touches no
@@ -41,6 +50,7 @@
 
 #include "common/hash.hpp"
 #include "common/types.hpp"
+#include "flow/flow_index.hpp"
 #include "lpm/lpm_table.hpp"
 
 namespace nfp {
@@ -138,7 +148,17 @@ class TupleSpaceClassifier {
     std::size_t graph = 0;
   };
 
-  // One distinct mask signature and its exact-match table of masked keys.
+  // One entry of a probe table: a masked key (or, in exact_, a full flow)
+  // and its verdict. Exact entries use only `cand.graph`.
+  struct Cell {
+    FiveTuple key;
+    Candidate cand;
+  };
+
+  // The fields of one distinct mask signature that the walk reads before
+  // it decides to probe. Kept dense (the probe tables live out of line in
+  // tables_) so a walk whose tuples are all pruned strides over 20 bytes a
+  // tuple.
   struct Tuple {
     u32 src_mask = 0;
     u32 dst_mask = 0;
@@ -148,7 +168,6 @@ class TupleSpaceClassifier {
     int max_priority = 0;      // walk-pruning bound over entries
     i8 src_prefix_len = -1;    // 0..32 when the mask is a prefix, else -1
     i8 dst_prefix_len = -1;
-    std::unordered_map<FiveTuple, Candidate, FiveTupleHash> entries;
   };
 
   explicit TupleSpaceClassifier(std::size_t graph_count)
@@ -159,15 +178,28 @@ class TupleSpaceClassifier {
     return g < graph_count_ ? g : 0;
   }
 
+  // The cell `table` holds for `key`; nullptr when absent.
+  const Cell* probe(const FlowIndex& table, const FiveTuple& key) const {
+    const u32 slot = table.find(
+        flow_hash32(key), [&](u32 s) { return cells_[s].key == key; });
+    return slot == kNoSlot ? nullptr : &cells_[slot];
+  }
+
   std::size_t graph_count_;
   std::size_t rule_count_ = 0;
-  ExactCtMap exact_;
+  FlowIndex exact_;            // exact-match flows, into cells_
   std::vector<Tuple> tuples_;  // sorted by descending max_priority
+  std::vector<FlowIndex> tables_;  // tables_[i]: tuple i's masked keys
+  std::vector<Cell> cells_;        // every probe table's entries
   // All contiguous rule prefixes, for the staged-lookup prune. The stored
   // next-hop value is unused; only "does a prefix of length L cover this
   // address" matters (LpmTable::match_length_mask).
   bool src_trie_used_ = false;
   bool dst_trie_used_ = false;
+  // Every tuple's src (dst) mask is a prefix of 1..32 bits: an address no
+  // trie prefix covers then matches no rule, and the walk can be skipped.
+  bool src_all_prefixes_ = true;
+  bool dst_all_prefixes_ = true;
   LpmTable src_trie_;
   LpmTable dst_trie_;
 };

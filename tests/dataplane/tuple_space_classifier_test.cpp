@@ -127,6 +127,91 @@ TEST(TupleSpaceClassifier, DifferentialFuzzMatchesLinearScan) {
   }
 }
 
+// Few signatures, many rules: every probe table is large, so lookups walk
+// real linear-probing chains, and two signatures draw from small address
+// pools so thousands of rules collapse onto the same masked keys (the
+// build-time winner by priority, then insertion order). A large exact
+// table rides along. Verdicts must match the linear scan bit for bit.
+TEST(TupleSpaceClassifier, ManyRulesInFewSignaturesMatchLinearScan) {
+  Rng rng(0xC0FFEE);
+  std::vector<CtRule> rules;
+  for (std::size_t i = 0; i < 12'000; ++i) {
+    CtRule r;
+    switch (i % 4) {
+      case 0:  // src /32, dst /16, proto: ~3k distinct keys
+        r.src_mask = 0xFFFFFFFFu;
+        r.src_ip = 0x0A000000u | static_cast<u32>(rng.bounded(1u << 16));
+        r.dst_mask = 0xFFFF0000u;
+        r.dst_ip = 0x0B000000u | (static_cast<u32>(rng.bounded(4)) << 16);
+        r.match_proto = true;
+        r.proto = rng.bounded(2) == 0 ? kProtoTcp : kProtoUdp;
+        break;
+      case 1:  // src /24, dst port: ~1k distinct keys
+        r.src_mask = 0xFFFFFF00u;
+        r.src_ip = 0x0A000000u | static_cast<u32>(rng.bounded(1u << 16));
+        r.match_dst_port = true;
+        r.dst_port = static_cast<u16>(80 + rng.bounded(4));
+        break;
+      case 2:  // non-contiguous src: 16 keys, ~190 rules each
+        r.src_mask = 0x00FF00F0u;
+        r.src_ip = 0x0A000000u | static_cast<u32>(rng.bounded(1u << 8));
+        break;
+      default:  // src /16, dst /24, ports, proto: 256 keys, ~12 rules each
+        r.src_mask = 0xFFFF0000u;
+        r.src_ip = 0x0A000000u;
+        r.dst_mask = 0xFFFFFF00u;
+        r.dst_ip = 0x0B000000u | static_cast<u32>(rng.bounded(4) << 8);
+        r.match_src_port = true;
+        r.src_port = static_cast<u16>(1000 + rng.bounded(8));
+        r.match_dst_port = true;
+        r.dst_port = static_cast<u16>(80 + rng.bounded(4));
+        r.match_proto = true;
+        r.proto = rng.bounded(2) == 0 ? kProtoTcp : kProtoUdp;
+    }
+    r.priority = static_cast<int>(rng.bounded(8));
+    r.graph = rng.bounded(50) == 0 ? kCtDropGraph
+                                   : static_cast<std::size_t>(
+                                         rng.bounded(kGraphs + 1));
+    rules.push_back(r);
+  }
+
+  LinearCtScan linear(kGraphs);
+  linear.add_rules(rules);
+  ExactCtMap exact;
+  for (int e = 0; e < 2'000; ++e) {
+    FiveTuple f;
+    f.src_ip = 0x0A000000u | static_cast<u32>(rng.bounded(1u << 16));
+    f.dst_ip = 0x0B000000u | static_cast<u32>(rng.bounded(1u << 10));
+    f.src_port = static_cast<u16>(1000 + rng.bounded(8));
+    f.dst_port = static_cast<u16>(80 + rng.bounded(4));
+    f.proto = kProtoTcp;
+    const std::size_t g = rng.bounded(kGraphs + 2);  // may clamp
+    exact[f] = g;
+    linear.add_exact(f, g);
+  }
+  const auto tuple_space = TupleSpaceClassifier::build(exact, rules, kGraphs);
+  ASSERT_EQ(tuple_space->tuple_count(), 4u);
+
+  for (std::size_t i = 0; i < rules.size(); i += 3) {
+    const FiveTuple probe = hit_probe(rules[i], rng);
+    ASSERT_EQ(tuple_space->classify(probe), linear.classify(probe))
+        << "hit-probe of rule " << i;
+  }
+  for (const auto& [flow, graph] : exact) {
+    ASSERT_EQ(tuple_space->classify(flow), linear.classify(flow));
+  }
+  for (int p = 0; p < 4'000; ++p) {
+    FiveTuple probe;
+    probe.src_ip = 0x0A000000u | static_cast<u32>(rng.bounded(1u << 16));
+    probe.dst_ip = 0x0B000000u | static_cast<u32>(rng.bounded(1u << 18));
+    probe.src_port = static_cast<u16>(1000 + rng.bounded(8));
+    probe.dst_port = static_cast<u16>(80 + rng.bounded(4));
+    probe.proto = rng.bounded(2) == 0 ? kProtoTcp : kProtoUdp;
+    ASSERT_EQ(tuple_space->classify(probe), linear.classify(probe))
+        << "probe " << p;
+  }
+}
+
 TEST(TupleSpaceClassifier, PriorityTieResolvesToEarliestInserted) {
   LiveClassificationTable ct(kGraphs);
   // Same priority, different mask signatures, both matching the probe: the

@@ -274,6 +274,35 @@ TEST_F(NfTest, NatRewritesFiveTupleConsistently) {
   pool_.release(p3);
 }
 
+TEST_F(NfTest, NatPortWrapsWithinRangeAndKeepsTranslationMidFlow) {
+  // Defaults: ports come from [20000, 65535], so the 45,537th binding is the
+  // first to wrap. Port 0 marks "unassigned"; a flow handed 0 would be
+  // re-bound on its next packet.
+  Nat nat;
+  const auto translate = [&](u32 src_ip, u16 src_port) {
+    PacketSpec spec;
+    spec.tuple.src_ip = src_ip;
+    spec.tuple.src_port = src_port;
+    Packet* p = make(spec);
+    PacketView view(*p);
+    nat.process(view);
+    const u16 port = PacketView(*p).src_port();
+    pool_.release(p);
+    return port;
+  };
+  for (u32 i = 0; i < 45'536; ++i) translate(0x0A000000 + i, 1000);
+  EXPECT_EQ(translate(0x0A000000 + 45'535, 1000), 65535);
+
+  const u16 wrapped = translate(0x0B000001, 4242);
+  EXPECT_EQ(wrapped, 20000);
+  EXPECT_EQ(translate(0x0B000001, 4242), wrapped);
+  EXPECT_EQ(translate(0x0B000001, 4242), wrapped);
+  // The next flow continues from the base, not into the well-known ports.
+  EXPECT_EQ(translate(0x0B000002, 4242), 20001);
+  EXPECT_EQ(nat.binding_count(), 45'538u);
+  EXPECT_EQ(nat.evictions(), 0u);
+}
+
 TEST_F(NfTest, CompressionShrinksRepetitivePayload) {
   Compression comp;
   PacketSpec spec;
