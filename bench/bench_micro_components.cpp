@@ -4,7 +4,13 @@
 // actual C++ implementations on this host (not simulated time).
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <atomic>
+#include <chrono>
+#include <thread>
+
 #include "acl/acl.hpp"
+#include "common/cpu_affinity.hpp"
 #include "crypto/aes128.hpp"
 #include "dpi/aho_corasick.hpp"
 #include "flow/flow_table.hpp"
@@ -15,6 +21,7 @@
 #include "packet/packet_pool.hpp"
 #include "common/rng.hpp"
 #include "policy/parser.hpp"
+#include "ring/backoff.hpp"
 #include "ring/spsc_ring.hpp"
 
 namespace nfp {
@@ -30,6 +37,82 @@ void BM_SpscRingPushPop(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SpscRingPushPop);
+
+// The cross-thread ring hop on a shared core, which BM_SpscRingPushPop
+// (an isolated push/pop on one thread) cannot see: a producer and a
+// consumer pinned to the same CPU pass 32-packet bursts through an SpscRing
+// one burst deep, so every hand-off needs the other thread to run. Both
+// wait under the argument's WaitPolicy (0 = own_core, 1 = shared_core);
+// ns_per_handoff is the wall time per burst moved.
+void BM_SharedCoreHandoff(benchmark::State& state) {
+  constexpr std::size_t kBurst = 32;
+  constexpr std::size_t kHandoffs = 512;  // per iteration
+  const auto policy = static_cast<WaitPolicy>(state.range(0));
+  state.SetLabel(policy == WaitPolicy::kSharedCore ? "shared_core"
+                                                    : "own_core");
+  double total_ns = 0;
+  std::size_t rounds = 0;
+  for (auto _ : state) {
+    SpscRing<Packet*> ring(kBurst);
+    std::atomic<int> ready{0};
+    bool pinned[2] = {false, false};
+    std::chrono::steady_clock::time_point t0;
+    std::chrono::steady_clock::time_point t1;
+    std::thread consumer([&] {
+      pinned[1] = pin_current_thread_to_core(0);
+      ready.fetch_add(1);
+      std::array<Packet*, kBurst> out{};
+      Backoff backoff(policy);
+      for (std::size_t got = 0; got < kHandoffs * kBurst;) {
+        const std::size_t n = ring.pop_burst(out);
+        if (n == 0) {
+          backoff.pause();
+          continue;
+        }
+        backoff.reset();
+        got += n;
+      }
+      t1 = std::chrono::steady_clock::now();
+    });
+    std::thread producer([&] {
+      pinned[0] = pin_current_thread_to_core(0);
+      ready.fetch_add(1);
+      while (ready.load() < 2) std::this_thread::yield();
+      // Placeholder pointers: the ring only moves them.
+      const std::array<Packet*, kBurst> burst{};
+      Backoff backoff(policy);
+      t0 = std::chrono::steady_clock::now();
+      for (std::size_t h = 0; h < kHandoffs; ++h) {
+        for (std::size_t sent = 0; sent < kBurst;) {
+          const std::size_t m = ring.push_burst(
+              std::span<Packet* const>(burst).subspan(sent));
+          if (m == 0) {
+            backoff.pause();
+            continue;
+          }
+          backoff.reset();
+          sent += m;
+        }
+      }
+    });
+    producer.join();
+    consumer.join();
+    if (!pinned[0] || !pinned[1]) {
+      state.SkipWithError("sched_setaffinity denied: cannot pin to CPU 0");
+      break;
+    }
+    const double ns =
+        std::chrono::duration<double, std::nano>(t1 - t0).count();
+    state.SetIterationTime(ns / 1e9);
+    total_ns += ns;
+    ++rounds;
+  }
+  if (rounds > 0) {
+    state.counters["ns_per_handoff"] =
+        total_ns / static_cast<double>(rounds * kHandoffs);
+  }
+}
+BENCHMARK(BM_SharedCoreHandoff)->Arg(0)->Arg(1)->UseManualTime();
 
 void BM_PoolAllocRelease(benchmark::State& state) {
   PacketPool pool(256);

@@ -798,7 +798,7 @@ void print_live_summary(ShardedDataplane& dp, const ShardedResult& res,
             : 0;
     std::printf("  %-8zu %10llu %10zu %10llu %7.1f%%\n", s,
                 static_cast<unsigned long long>(dp.shard_received(s)),
-                s < res.per_shard.size() ? res.per_shard[s].outputs.size() : 0,
+                s < res.per_shard.size() ? res.per_shard[s].delivered : 0,
                 static_cast<unsigned long long>(
                     s < res.per_shard.size() ? res.per_shard[s].dropped : 0),
                 100.0 * rate);

@@ -84,7 +84,7 @@ void EpochDomain::synchronize() {
   std::atomic_thread_fence(std::memory_order_seq_cst);
   for (EpochSlot* s = head_.load(std::memory_order_acquire); s != nullptr;
        s = s->next) {
-    Backoff backoff;
+    Backoff backoff(WaitPolicy::kOwnCore);
     for (;;) {
       const u64 pinned = s->pinned.load(std::memory_order_acquire);
       if (pinned == 0 || pinned >= target) break;

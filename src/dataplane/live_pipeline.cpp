@@ -71,6 +71,9 @@ LivePipeline::LivePipeline(
                                          &mag_flush_total_);
     return;
   }
+  // Pinned, every pipeline thread and the feeding shard worker share one
+  // core: a waiter must get off it before the peer it waits on can run.
+  if (opts_.pin_core >= 0) wait_policy_ = WaitPolicy::kSharedCore;
 
   int instance = 0;
   for (Segment& seg : graph_.segments()) {
@@ -197,7 +200,7 @@ bool LivePipeline::enter_segment(std::size_t seg_idx, Packet* pkt,
     // path; the span is carved out of the caller's current lap.
     const bool timed = acct != nullptr && acct->enabled();
     const u64 t0 = timed ? telemetry::mono_now_ns() : 0;
-    Backoff backoff;
+    Backoff backoff(wait_policy_);
     do {
       backoff.pause();
     } while (!nfs[k].in->push(version));
@@ -248,7 +251,7 @@ void LivePipeline::nf_loop(std::size_t seg_idx, std::size_t nf_idx) {
   std::vector<MergeEnvelope> envelopes;
   envelopes.reserve(burst);
   std::vector<std::vector<u8>> out_batch;
-  Backoff idle;
+  Backoff idle(wait_policy_);
 
   // Cycle accounting reuses the one clock read per iteration the heartbeat
   // already pays: `beat` closes the previous interval and opens the next,
@@ -296,7 +299,7 @@ void LivePipeline::nf_loop(std::size_t seg_idx, std::size_t nf_idx) {
         envelopes.push_back(env);
       }
       std::size_t sent = 0;
-      Backoff backoff;
+      Backoff backoff(wait_policy_);
       u64 wait_start = 0;
       while (sent < n) {
         const std::size_t m = self.out->push_burst(
@@ -391,7 +394,7 @@ void LivePipeline::merger_loop() {
   std::vector<MergeEnvelope> burst_buf(burst);
   std::vector<std::pair<Packet*, u8>> pairs;
   std::vector<std::vector<u8>> out_batch;
-  Backoff idle_backoff;
+  Backoff idle_backoff(wait_policy_);
 
   u64 beat = telemetry::mono_now_ns();
   telemetry::CycleAccountant acct(merger_cycles_.get(), beat);
@@ -763,7 +766,7 @@ bool LivePipeline::feed_stamped(std::span<const u8> frame, u64 origin_ns,
   // fast enough — ingest backpressure, timed only when actually contended.
   if (in_flight_.load(std::memory_order_acquire) >= opts_.in_flight_window) {
     const u64 t0 = facct.enabled() ? telemetry::mono_now_ns() : 0;
-    Backoff window_backoff;
+    Backoff window_backoff(wait_policy_);
     do {
       window_backoff.pause();
     } while (in_flight_.load(std::memory_order_acquire) >=
@@ -778,7 +781,7 @@ bool LivePipeline::feed_stamped(std::span<const u8> frame, u64 origin_ns,
   Packet* pkt = mag.alloc(frame.size());
   if (pkt == nullptr) {
     const u64 t0 = facct.enabled() ? telemetry::mono_now_ns() : 0;
-    Backoff alloc_backoff;
+    Backoff alloc_backoff(wait_policy_);
     do {
       alloc_backoff.pause();
     } while ((pkt = mag.alloc(frame.size())) == nullptr);

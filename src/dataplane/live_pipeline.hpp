@@ -41,6 +41,7 @@
 #include "nfs/nf.hpp"
 #include "packet/packet_magazine.hpp"
 #include "packet/packet_pool.hpp"
+#include "ring/backoff.hpp"
 #include "ring/spsc_ring.hpp"
 #include "telemetry/flow_observatory.hpp"
 #include "telemetry/latency_observatory.hpp"
@@ -94,7 +95,8 @@ struct LivePipelineOptions {
   // When >= 0, every pipeline thread (NFs + merger) pins itself to this
   // core via cpu_affinity — the sharded dataplane's shared-nothing
   // one-core-per-shard placement. Pin failures degrade to unpinned
-  // threads; affinity_applied() reports the outcome.
+  // threads; affinity_applied() reports the outcome. A pinned pipelined
+  // graph also switches its waits to WaitPolicy::kSharedCore.
   int pin_core = -1;
   // Per-thread cycle accounting for the scalability profiler. On by
   // default: the hot-path cost is one relaxed add to a thread-private
@@ -160,6 +162,12 @@ class LivePipeline {
   const LivePipelineOptions& options() const noexcept { return opts_; }
   // The resolved execution mode (never kAuto after construction).
   ExecMode exec_mode() const noexcept { return opts_.exec_mode; }
+  // How this pipeline's threads wait (ring/backoff.hpp): kSharedCore for a
+  // pipelined graph with pin_core >= 0, whose NF threads, merger and feeder
+  // all share that one core; kOwnCore otherwise (an rtc graph spawns no
+  // threads, an unpinned one lets the scheduler spread them). Every wait
+  // of the NF loops, the merger and feed()/feed_stamped() follows it.
+  WaitPolicy wait_policy() const noexcept { return wait_policy_; }
 
   // Health-instrumentation surface. Workers are indexed NFs-in-graph-order
   // first, then the merger last; all reads are safe from a sampler thread
@@ -301,6 +309,7 @@ class LivePipeline {
 
   ServiceGraph graph_;
   LivePipelineOptions opts_;
+  WaitPolicy wait_policy_ = WaitPolicy::kOwnCore;
   PacketPool pool_;
   // Set when the resolved mode is kRtc: the fused executor replaces the
   // thread/ring machinery below wholesale (segments_ stays empty, no

@@ -231,7 +231,7 @@ bool ShardedDataplane::feed(std::span<const u8> frame) {
     // enough. Timed only on this contended path and attributed to the
     // stalling shard, since it is that shard's lost injection throughput.
     const u64 t0 = dsink != nullptr ? telemetry::mono_now_ns() : 0;
-    Backoff alloc_backoff;
+    Backoff alloc_backoff(WaitPolicy::kOwnCore);
     do {
       alloc_backoff.pause();
     } while ((pkt = sh.ingest_pool->alloc(frame.size())) == nullptr);
@@ -255,7 +255,7 @@ bool ShardedDataplane::feed(std::span<const u8> frame) {
     }
     // RX ring full: classic ingest backpressure.
     const u64 t0 = dsink != nullptr ? telemetry::mono_now_ns() : 0;
-    Backoff ring_backoff;
+    Backoff ring_backoff(WaitPolicy::kOwnCore);
     do {
       ring_backoff.pause();
     } while (!sh.ring->push(pkt));
@@ -279,16 +279,35 @@ void ShardedDataplane::worker_loop(std::size_t shard_idx) {
   }
   Shard& sh = shards_[shard_idx];
   std::vector<Packet*> burst(opts_.ingest_burst);
+  // The worker shares its core with the shard's pipeline threads whenever
+  // a pipelined graph is pinned there; its idle poll then yields at once
+  // so the NF threads it just fed get the core.
+  const bool shares_core =
+      std::any_of(sh.pipelines.begin(), sh.pipelines.end(),
+                  [](const std::unique_ptr<LivePipeline>& pipeline) {
+                    return pipeline->wait_policy() == WaitPolicy::kSharedCore;
+                  });
+  const WaitPolicy policy =
+      shares_core ? WaitPolicy::kSharedCore : WaitPolicy::kOwnCore;
   // Epoch-amortized flow accounting (see FlowAccumulator above). An idle
-  // flush needs this many consecutive empty polls: enough that the
-  // sub-microsecond gaps of a director that merely trickles rarely
-  // complete a streak, few enough to stay inside Backoff's spin/pause
-  // tiers — once it escalates to yields, a loaded host can stall the
-  // streak (and with it scrape freshness) for whole scheduler quanta.
-  constexpr std::size_t kIdleFlushStreak = 20;
+  // flush needs a streak of consecutive empty polls. On an own core it is
+  // 20 polls, exactly Backoff's spin and pause tiers (~2 µs): enough that
+  // the sub-microsecond gaps of a director that merely trickles rarely
+  // complete a streak, few enough to publish before the backoff escalates
+  // to yields, where a loaded host can stall the streak (and with it
+  // scrape freshness) for whole scheduler quanta. On a shared core every
+  // empty poll yields the core to the pipeline threads, which then
+  // complete the packets this worker fed; a longer streak would publish
+  // only after those packets are visibly delivered, so a scrape of a
+  // plane that just went quiet would miss them. Flush on the first empty
+  // poll instead. Folds get little more frequent than when this worker
+  // spun: its 20 polls held the shared core for ~2 µs without yielding,
+  // so every lull that long completed a streak.
+  const std::size_t idle_flush_streak =
+      policy == WaitPolicy::kSharedCore ? 1 : 20;
   FlowAccumulator acc;
   std::size_t empty_streak = 0;
-  Backoff idle;
+  Backoff idle(policy);
 
   // One clock read per iteration (the heartbeat's) closes the previous
   // accounting interval and opens the next. Classifier-miss time and
@@ -312,7 +331,7 @@ void ShardedDataplane::worker_loop(std::size_t shard_idx) {
       const bool stopping = ingest_stop_.load(std::memory_order_acquire) &&
                             sh.ring->size() == 0;
       if (acc.pending != 0 &&
-          (stopping || ++empty_streak >= kIdleFlushStreak)) {
+          (stopping || ++empty_streak >= idle_flush_streak)) {
         acc.flush(*sh.flows);
         empty_streak = 0;
       }
@@ -384,29 +403,31 @@ ShardedResult ShardedDataplane::drain() {
   for (Shard& sh : shards_) {
     if (sh.worker.joinable()) sh.worker.join();
   }
+  std::vector<std::vector<LiveResult>> drained(shards_.size());
+  std::size_t delivered = 0;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    Shard& sh = shards_[s];
-    LiveResult merged;
-    for (auto& pipeline : sh.pipelines) {
-      LiveResult r = pipeline->drain();
-      if (!r.status.is_ok() && merged.status.is_ok()) {
-        merged.status = r.status;
-      }
-      merged.dropped += r.dropped;
-      for (auto& frame : r.outputs) {
-        merged.outputs.push_back(std::move(frame));
-      }
+    for (auto& pipeline : shards_[s].pipelines) {
+      drained[s].push_back(pipeline->drain());
+      delivered += drained[s].back().outputs.size();
     }
+  }
+  res.outputs.reserve(delivered);
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    ShardOutcome shard;
+    shard.first = res.outputs.size();
+    for (LiveResult& r : drained[s]) {
+      if (!r.status.is_ok() && shard.status.is_ok()) shard.status = r.status;
+      shard.dropped += r.dropped;
+      for (auto& frame : r.outputs) res.outputs.push_back(std::move(frame));
+    }
+    shard.delivered = res.outputs.size() - shard.first;
     // Director-level drops (tail drops, CT drop rules, shutdown drains)
     // never reached a pipeline; fold them in so dropped covers every frame
     // the plane refused — and stays equal to the per-reason sum.
-    merged.dropped += shard_director_dropped(s);
-    res.dropped += merged.dropped;
-    for (const auto& frame : merged.outputs) res.outputs.push_back(frame);
-    if (!merged.status.is_ok() && res.status.is_ok()) {
-      res.status = merged.status;
-    }
-    res.per_shard.push_back(std::move(merged));
+    shard.dropped += shard_director_dropped(s);
+    res.dropped += shard.dropped;
+    if (!shard.status.is_ok() && res.status.is_ok()) res.status = shard.status;
+    res.per_shard.push_back(std::move(shard));
   }
   state_.store(RunState::kFinished, std::memory_order_release);
   return res;

@@ -87,14 +87,29 @@ struct ShardedDataplaneOptions {
   bool drop_on_ingest_backpressure = false;
 };
 
+// One shard's part of a ShardedResult, merged across the shard's G graph
+// pipelines: its delivered frames are outputs[first, first + delivered).
+struct ShardOutcome {
+  std::size_t first = 0;
+  std::size_t delivered = 0;
+  u64 dropped = 0;
+  Status status;
+};
+
 // Aggregate of one run. `outputs` concatenates shards in shard order (order
-// across shards is not meaningful — per-flow order within a shard is).
+// across shards is not meaningful — per-flow order within a shard is); each
+// frame is moved there from its pipeline once, never copied.
 struct ShardedResult {
   std::vector<std::vector<u8>> outputs;
   u64 dropped = 0;
-  // Per-shard results, each merged across the shard's G graph pipelines.
-  std::vector<LiveResult> per_shard;
+  std::vector<ShardOutcome> per_shard;
   Status status;
+
+  // The frames shard s delivered.
+  std::span<const std::vector<u8>> shard_outputs(std::size_t s) const {
+    const ShardOutcome& shard = per_shard.at(s);
+    return {outputs.data() + shard.first, shard.delivered};
+  }
 };
 
 class ShardedDataplane {

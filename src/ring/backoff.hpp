@@ -1,15 +1,29 @@
 // Tiered busy-wait backoff for ring producers/consumers.
 //
 // The live pipeline's threads wait on ring space the way a DPDK poll-mode
-// driver waits on a NIC queue: never blocking in the kernel, but not
-// hammering the shared cache line either. The ladder is
-//   spin   — a handful of empty iterations for sub-100ns waits,
-//   pause  — the CPU's spin-wait hint (x86 PAUSE / ARM YIELD) which
-//            de-prioritizes the hardware thread and cuts the exit penalty
-//            of the spin loop,
-//   yield  — hand the core to the scheduler; essential on machines with
-//            fewer cores than pipeline threads, where the peer we are
-//            waiting on cannot run until we get off the core.
+// driver waits on a NIC queue: never blocking in the kernel. What a wait
+// should do first depends on where the awaited thread runs, so every
+// Backoff is built with the placement of its waiter (WaitPolicy):
+//
+//   kOwnCore     the waiter has a core to itself (the director, the rtc
+//                shard worker, epoch reclamation), so the peer it waits on
+//                runs elsewhere and may be only cycles away. The ladder is
+//                  spin  — a handful of empty iterations for sub-100ns
+//                          waits,
+//                  pause — the CPU's spin-wait hint (x86 PAUSE / ARM
+//                          YIELD), which de-prioritizes the hardware
+//                          thread and cuts the spin loop's exit penalty;
+//                          ~75 of them (~1.8 µs at ~23 ns each) before
+//                  yield — hand the core to the scheduler.
+//   kSharedCore  the waiter shares its core with the threads it waits on
+//                (a pipelined shard pins its worker, every NF thread and
+//                the merger to one core). The peer cannot make progress
+//                until the waiter gets off the core, so every spin or
+//                pause is time lost outright: yield on the first step.
+//
+// The policy is decided once from the thread placement the caller already
+// knows (LivePipeline::wait_policy()) and passed in explicitly; there is
+// no global or thread-local switch.
 #pragma once
 
 #include <thread>
@@ -28,14 +42,21 @@ inline void cpu_relax() noexcept {
 #endif
 }
 
+enum class WaitPolicy : u8 { kOwnCore = 0, kSharedCore = 1 };
+
 class Backoff {
  public:
-  // One wait step; escalates spin -> pause -> yield across calls.
+  explicit Backoff(WaitPolicy policy) noexcept
+      : round_(policy == WaitPolicy::kSharedCore ? kYieldRound : 0),
+        first_round_(round_) {}
+
+  // One wait step; escalates spin -> pause -> yield across calls
+  // (kSharedCore starts at yield).
   void pause() noexcept {
     ++total_;
     if (round_ < kSpinRounds) {
       ++round_;
-    } else if (round_ < kSpinRounds + kPauseRounds) {
+    } else if (round_ < kYieldRound) {
       ++round_;
       // Exponentially widening pause bursts within the tier.
       const u32 reps = 1u << ((round_ - kSpinRounds) / 4);
@@ -46,7 +67,7 @@ class Backoff {
   }
 
   // Call after the awaited condition held so the next wait starts cheap.
-  void reset() noexcept { round_ = 0; }
+  void reset() noexcept { round_ = first_round_; }
 
   // Cumulative pause() calls over the object's lifetime (reset() does not
   // clear it). Backoff objects are thread-local, so a plain counter is
@@ -56,7 +77,9 @@ class Backoff {
  private:
   static constexpr u32 kSpinRounds = 4;
   static constexpr u32 kPauseRounds = 16;
-  u32 round_ = 0;
+  static constexpr u32 kYieldRound = kSpinRounds + kPauseRounds;
+  u32 round_;
+  u32 first_round_;
   u64 total_ = 0;
 };
 

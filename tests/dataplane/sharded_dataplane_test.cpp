@@ -92,7 +92,7 @@ TEST(ShardedDataplane, AllPacketsOfAFlowExitOneShard) {
   std::map<u16, std::set<std::size_t>> shards_seen;  // src_port -> shards
   std::size_t delivered = 0;
   for (std::size_t s = 0; s < res.per_shard.size(); ++s) {
-    for (const auto& frame : res.per_shard[s].outputs) {
+    for (const auto& frame : res.shard_outputs(s)) {
       const auto tuple =
           parse_five_tuple({frame.data(), frame.size()});
       ASSERT_TRUE(tuple.has_value());
@@ -103,6 +103,7 @@ TEST(ShardedDataplane, AllPacketsOfAFlowExitOneShard) {
     }
   }
   EXPECT_EQ(delivered, frames.size());
+  EXPECT_EQ(delivered, res.outputs.size());
   EXPECT_EQ(shards_seen.size(), kFlows);
   for (const auto& [port, shards] : shards_seen) {
     EXPECT_EQ(shards.size(), 1u)
