@@ -710,11 +710,7 @@ struct LiveSession {
               const Observers& observe)
       : dp({graph}, pass_all_factory, opts) {
     if (observe.scalability) dp.register_scalability(profiler.emplace());
-    if (observe.latency) {
-      telemetry::LatencyObservatory::Options lat_options;
-      lat_options.sample_every = opts.pipeline.latency_sample_every;
-      dp.register_latency(latency.emplace(lat_options));
-    }
+    if (observe.latency) dp.register_latency(latency.emplace());
     if (observe.flows) {
       telemetry::FlowObservatoryOptions flow_options;
       flow_options.top_k = observe.top_k;

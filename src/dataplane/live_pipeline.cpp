@@ -609,10 +609,7 @@ telemetry::ShardScalabilitySnapshot LivePipeline::scalability_snapshot() {
   if (rtc_ != nullptr) return rtc_->scalability_snapshot();
   telemetry::ShardScalabilitySnapshot snap;
   auto fold = [&snap](const telemetry::CycleCounters* cycles) {
-    if (cycles == nullptr) return;
-    for (std::size_t b = 0; b < telemetry::kCycleBucketCount; ++b) {
-      snap.ns[b] += cycles->get(static_cast<telemetry::CycleBucket>(b));
-    }
+    if (cycles != nullptr) snap.add(*cycles);
   };
   for (const auto& seg : segments_) {
     for (const LiveNf& nf : seg) {
@@ -637,11 +634,7 @@ telemetry::ShardLatencySnapshot LivePipeline::latency_snapshot() const {
   if (rtc_ != nullptr) return rtc_->latency_snapshot();
   telemetry::ShardLatencySnapshot snap;
   auto fold = [&snap](const telemetry::StageLatencyBlock* block) {
-    if (block == nullptr) return;
-    for (std::size_t s = 0; s < telemetry::kLatencyStageCount; ++s) {
-      snap.stages[s] +=
-          block->snapshot(static_cast<telemetry::LatencyStage>(s));
-    }
+    if (block != nullptr) snap.add(*block);
   };
   for (const auto& seg : segments_) {
     for (const LiveNf& nf : seg) {

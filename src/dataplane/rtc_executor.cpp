@@ -325,12 +325,7 @@ telemetry::ShardScalabilitySnapshot RtcExecutor::scalability_snapshot()
 
 telemetry::ShardLatencySnapshot RtcExecutor::latency_snapshot() const {
   telemetry::ShardLatencySnapshot snap;
-  if (lat_block_ != nullptr) {
-    for (std::size_t s = 0; s < telemetry::kLatencyStageCount; ++s) {
-      snap.stages[s] +=
-          lat_block_->snapshot(static_cast<telemetry::LatencyStage>(s));
-    }
-  }
+  if (lat_block_ != nullptr) snap.add(*lat_block_);
   // queue_depth stays 0: there are no rings to occupy.
   return snap;
 }

@@ -536,9 +536,7 @@ telemetry::ShardScalabilitySnapshot ShardedDataplane::scalability_snapshot(
   // useful by construction), then add them back under their own category.
   // The per-shard bucket sum is preserved exactly.
   if (sh.cycles != nullptr) {
-    for (std::size_t b = 0; b < telemetry::kCycleBucketCount; ++b) {
-      snap.ns[b] += sh.cycles->get(static_cast<telemetry::CycleBucket>(b));
-    }
+    snap.add(*sh.cycles);
     u64 carve = sh.cache->miss_ns();
     for (const auto& pipeline : sh.pipelines) {
       carve += pipeline->feeder_wait_ns();
@@ -552,10 +550,7 @@ telemetry::ShardScalabilitySnapshot ShardedDataplane::scalability_snapshot(
     ++snap.threads;
   }
   if (sh.director_cycles != nullptr) {
-    for (std::size_t b = 0; b < telemetry::kCycleBucketCount; ++b) {
-      snap.ns[b] +=
-          sh.director_cycles->get(static_cast<telemetry::CycleBucket>(b));
-    }
+    snap.add(*sh.director_cycles);
     snap.backoff_spins +=
         sh.director_spins->load(std::memory_order_relaxed);
   }
@@ -569,12 +564,24 @@ telemetry::ShardScalabilitySnapshot ShardedDataplane::scalability_snapshot(
   return snap;
 }
 
+namespace {
+
+// add_shard("shard<s>", <snapshot of shard s>) for every shard.
+template <typename Observatory, typename SnapshotOf>
+void add_every_shard(ShardedDataplane* dp, Observatory& observatory,
+                     SnapshotOf snapshot_of) {
+  for (std::size_t s = 0; s < dp->shard_count(); ++s) {
+    observatory.add_shard("shard" + std::to_string(s), [dp, s, snapshot_of] {
+      return (dp->*snapshot_of)(s);
+    });
+  }
+}
+
+}  // namespace
+
 void ShardedDataplane::register_scalability(
     telemetry::ScalabilityProfiler& profiler) {
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    profiler.add_shard("shard" + std::to_string(s),
-                       [this, s] { return scalability_snapshot(s); });
-  }
+  add_every_shard(this, profiler, &ShardedDataplane::scalability_snapshot);
 }
 
 telemetry::ShardLatencySnapshot ShardedDataplane::latency_snapshot(
@@ -585,15 +592,13 @@ telemetry::ShardLatencySnapshot ShardedDataplane::latency_snapshot(
     snap += pipeline->latency_snapshot();
   }
   snap.ingest_queue_depth += static_cast<double>(sh.ring->size());
+  snap.sample_every = opts_.pipeline.latency_sample_every;
   return snap;
 }
 
 void ShardedDataplane::register_latency(
     telemetry::LatencyObservatory& observatory) {
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    observatory.add_shard("shard" + std::to_string(s),
-                          [this, s] { return latency_snapshot(s); });
-  }
+  add_every_shard(this, observatory, &ShardedDataplane::latency_snapshot);
 }
 
 telemetry::ShardFlowSnapshot ShardedDataplane::flow_snapshot(std::size_t s) {
@@ -623,10 +628,7 @@ telemetry::ShardFlowSnapshot ShardedDataplane::flow_snapshot(std::size_t s) {
 
 void ShardedDataplane::register_flows(
     telemetry::FlowObservatory& observatory) {
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    observatory.add_shard("shard" + std::to_string(s),
-                          [this, s] { return flow_snapshot(s); });
-  }
+  add_every_shard(this, observatory, &ShardedDataplane::flow_snapshot);
 }
 
 void ShardedDataplane::register_health(telemetry::HealthSampler& sampler,

@@ -196,9 +196,10 @@ class ShardedDataplane {
   // reset the profiler's baseline after start() to exclude spawn cost.
   void register_scalability(telemetry::ScalabilityProfiler& profiler);
 
-  // Shard-level latency fold: every pipeline's stage histograms plus the
+  // Shard-level latency fold: every pipeline's stage histograms, the
   // shard's current ring occupancies (queue_depth from the NF rings,
-  // ingest_queue_depth from the director RX ring). Histograms are empty
+  // ingest_queue_depth from the director RX ring) and the plane's sampling
+  // rate, which the latency report shows. Histograms are empty
   // unless options.pipeline.latency_sample_every > 0 — the director then
   // samples by flow hash (latency_sample_hash) and stamps origin at its
   // own feed(), so ingest covers director pool/ring + classify time.

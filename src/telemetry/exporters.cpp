@@ -5,6 +5,8 @@
 #include <set>
 #include <sstream>
 
+#include "common/json.hpp"
+
 namespace nfp::telemetry {
 
 namespace {
@@ -16,38 +18,18 @@ const std::string* find_label(const Labels& labels, std::string_view key) {
   return nullptr;
 }
 
-std::string json_escape(const std::string& s) {
+// k="v",k2="v2" — the label list without its braces.
+std::string prom_label_list(const Labels& labels) {
   std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
+  for (const auto& [k, v] : labels) {
+    if (!out.empty()) out += ",";
+    out += k + "=\"" + prom_escape_label(v) + "\"";
   }
   return out;
 }
 
-std::string prom_labels(const Labels& labels, const char* extra_key = nullptr,
-                        const char* extra_value = nullptr) {
-  if (labels.empty() && extra_key == nullptr) return {};
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [k, v] : labels) {
-    if (!first) out += ",";
-    first = false;
-    out += k + "=\"" + prom_escape_label(v) + "\"";
-  }
-  if (extra_key != nullptr) {
-    if (!first) out += ",";
-    out += std::string(extra_key) + "=\"" + prom_escape_label(extra_value) +
-           "\"";
-  }
-  out += "}";
-  return out;
+std::string prom_labels(const Labels& labels) {
+  return labels.empty() ? std::string() : "{" + prom_label_list(labels) + "}";
 }
 
 std::string json_labels(const Labels& labels) {
@@ -56,7 +38,7 @@ std::string json_labels(const Labels& labels) {
   for (const auto& [k, v] : labels) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + json_escape(k) + "\":\"" + json_escape(v) + "\"";
+    out += "\"" + json::escape(k) + "\":\"" + json::escape(v) + "\"";
   }
   out += "}";
   return out;
@@ -108,6 +90,32 @@ std::string fmt_prom_double(double v) {
   return buf;
 }
 
+void write_prometheus_histogram(std::ostream& out, std::string_view name,
+                                std::string_view labels,
+                                const Histogram& h) {
+  const std::string_view sep = labels.empty() ? "" : ",";
+  // One cumulative bucket per power of two: each power's kSubBuckets
+  // buckets end exactly on the next power.
+  u64 cumulative = 0;
+  for (std::size_t end = Histogram::kSubBuckets;
+       end < Histogram::kBuckets && cumulative < h.total;
+       end += Histogram::kSubBuckets) {
+    for (std::size_t i = end - Histogram::kSubBuckets; i < end; ++i) {
+      cumulative += h.counts[i];
+    }
+    if (cumulative == 0) continue;  // skip the empty low tail
+    out << name << "_bucket{" << labels << sep << "le=\""
+        << Histogram::value_of(end) << "\"} " << cumulative << "\n";
+  }
+  // +Inf is mandatory, even for an empty series.
+  out << name << "_bucket{" << labels << sep << "le=\"+Inf\"} " << h.total
+      << "\n";
+  const std::string plain =
+      labels.empty() ? std::string() : "{" + std::string(labels) + "}";
+  out << name << "_sum" << plain << " " << h.sum << "\n";
+  out << name << "_count" << plain << " " << h.total << "\n";
+}
+
 std::string to_prometheus(const MetricsRegistry& registry) {
   std::ostringstream out;
   std::string last_type_line;
@@ -135,31 +143,8 @@ std::string to_prometheus(const MetricsRegistry& registry) {
         << fmt_double(g.high_water) << "\n";
   }
   for (const auto& [key, h] : registry.histograms()) {
-    // Native histogram exposition so external Prometheus/Grafana can
-    // re-aggregate quantiles across shards. One cumulative bucket per
-    // power of two over the recorded range: powers of two are exact
-    // bucket edges of the log-bucketed Histogram (count_below), with the
-    // convention that a value exactly equal to a boundary counts in the
-    // next bucket up.
     type_line(key.name, "histogram");
-    const u64 count = h.count();
-    if (count > 0) {
-      u64 bound = Histogram::kSubBuckets;  // first log-bucket edge
-      while ((bound << 1) != 0 && bound <= h.min()) bound <<= 1;
-      for (; bound != 0; bound <<= 1) {
-        const u64 below = h.count_below(bound);
-        out << key.name << "_bucket"
-            << prom_labels(key.labels, "le", std::to_string(bound).c_str())
-            << " " << below << "\n";
-        if (below == count) break;
-      }
-    }
-    out << key.name << "_bucket" << prom_labels(key.labels, "le", "+Inf")
-        << " " << count << "\n";
-    out << key.name << "_sum" << prom_labels(key.labels) << " " << h.sum()
-        << "\n";
-    out << key.name << "_count" << prom_labels(key.labels) << " " << count
-        << "\n";
+    write_prometheus_histogram(out, key.name, prom_label_list(key.labels), h);
   }
   return out.str();
 }
@@ -171,7 +156,7 @@ std::string to_json(const MetricsRegistry& registry) {
   for (const auto& [key, c] : registry.counters()) {
     if (!first) out << ",";
     first = false;
-    out << "{\"name\":\"" << json_escape(key.name)
+    out << "{\"name\":\"" << json::escape(key.name)
         << "\",\"labels\":" << json_labels(key.labels) << ",\"value\":"
         << c.value << "}";
   }
@@ -180,7 +165,7 @@ std::string to_json(const MetricsRegistry& registry) {
   for (const auto& [key, g] : registry.gauges()) {
     if (!first) out << ",";
     first = false;
-    out << "{\"name\":\"" << json_escape(key.name)
+    out << "{\"name\":\"" << json::escape(key.name)
         << "\",\"labels\":" << json_labels(key.labels) << ",\"value\":"
         << fmt_json_double(g.value) << ",\"high_water\":"
         << fmt_json_double(g.high_water) << "}";
@@ -190,7 +175,7 @@ std::string to_json(const MetricsRegistry& registry) {
   for (const auto& [key, h] : registry.histograms()) {
     if (!first) out << ",";
     first = false;
-    out << "{\"name\":\"" << json_escape(key.name)
+    out << "{\"name\":\"" << json::escape(key.name)
         << "\",\"labels\":" << json_labels(key.labels) << ",\"count\":"
         << h.count() << ",\"min\":" << h.min() << ",\"mean\":"
         << fmt_json_double(h.mean()) << ",\"p50\":" << h.quantile(0.5)

@@ -5,7 +5,8 @@
 #include <cstdio>
 #include <sstream>
 
-#include "telemetry/health_sampler.hpp"
+#include "common/json.hpp"
+#include "telemetry/exporters.hpp"
 #include "telemetry/timeseries.hpp"
 
 namespace nfp::telemetry {
@@ -18,21 +19,6 @@ constexpr std::array<const char*, kDropReasonCount> kReasonNames = {
 };
 
 u64 saturating_sub(u64 a, u64 b) noexcept { return a >= b ? a - b : 0; }
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
 
 std::string fmt_double(double v) {
   char buf[64];
@@ -388,7 +374,7 @@ std::string FlowReport::to_json() const {
     const DropExemplar& e = total.exemplars[i];
     if (i > 0) out << ",";
     out << "{\"flow\":\"" << tuple_str(e.tuple, e.tuple_valid)
-        << "\",\"stage\":\"" << escape(e.stage) << "\",\"reason\":\""
+        << "\",\"stage\":\"" << json::escape(e.stage) << "\",\"reason\":\""
         << drop_reason_name(e.reason) << "\",\"when_ns\":" << e.when_ns
         << "}";
   }
@@ -396,7 +382,7 @@ std::string FlowReport::to_json() const {
   for (std::size_t s = 0; s < shards.size(); ++s) {
     const Shard& sh = shards[s];
     if (s > 0) out << ",";
-    out << "{\"name\":\"" << escape(sh.name)
+    out << "{\"name\":\"" << json::escape(sh.name)
         << "\",\"packets\":" << sh.d.packets << ",\"bytes\":" << sh.d.bytes
         << ",\"new_flows\":" << sh.d.new_flows
         << ",\"dropped\":" << sh.d.total_drops() << ",\"drops\":";
@@ -479,19 +465,19 @@ std::string FlowReport::to_prometheus() const {
   for (const Shard& sh : shards) {
     for (std::size_t r = 0; r < kDropReasonCount; ++r) {
       out << "nfp_flow_drops_total{reason=\"" << kReasonNames[r]
-          << "\",shard=\"" << escape(sh.name) << "\"} " << sh.d.drops[r]
-          << "\n";
+          << "\",shard=\"" << prom_escape_label(sh.name) << "\"} "
+          << sh.d.drops[r] << "\n";
     }
   }
   out << "# TYPE nfp_flow_packets_total counter\n";
   for (const Shard& sh : shards) {
-    out << "nfp_flow_packets_total{shard=\"" << escape(sh.name) << "\"} "
-        << sh.d.packets << "\n";
+    out << "nfp_flow_packets_total{shard=\"" << prom_escape_label(sh.name)
+        << "\"} " << sh.d.packets << "\n";
   }
   out << "# TYPE nfp_flow_bytes_total counter\n";
   for (const Shard& sh : shards) {
-    out << "nfp_flow_bytes_total{shard=\"" << escape(sh.name) << "\"} "
-        << sh.d.bytes << "\n";
+    out << "nfp_flow_bytes_total{shard=\"" << prom_escape_label(sh.name)
+        << "\"} " << sh.d.bytes << "\n";
   }
   out << "# TYPE nfp_flows_active gauge\nnfp_flows_active "
       << fmt_double(flows_active()) << "\n";
@@ -501,126 +487,62 @@ std::string FlowReport::to_prometheus() const {
 // ---------------------------------------------------------------------------
 // Observatory.
 
-FlowObservatory::FlowObservatory(Options options)
-    : options_(std::move(options)),
-      probe_cache_(std::make_shared<ProbeCache>()) {
-  if (!options_.clock) options_.clock = [] { return mono_now_ns(); };
-  if (options_.top_k == 0) options_.top_k = 10;
-  baseline_ns_ = options_.clock();
-}
-
-void FlowObservatory::add_shard(std::string name, SnapshotFn fn) {
-  if (!fn) return;
-  const std::scoped_lock lock(mu_);
-  Source src;
-  src.name = std::move(name);
-  src.baseline = fn();
-  src.fn = std::move(fn);
-  sources_.push_back(std::move(src));
-}
-
-std::size_t FlowObservatory::shard_count() const {
-  const std::scoped_lock lock(mu_);
-  return sources_.size();
-}
-
-void FlowObservatory::reset_baseline() {
-  const std::scoped_lock lock(mu_);
-  for (Source& src : sources_) src.baseline = src.fn();
-  baseline_ns_ = options_.clock();
-}
-
-FlowReport FlowObservatory::report_locked() const {
-  FlowReport rep;
-  rep.top_k = options_.top_k;
-  const u64 now = options_.clock();
-  rep.wall_seconds =
-      static_cast<double>(saturating_sub(now, baseline_ns_)) / 1e9;
-  for (const Source& src : sources_) {
-    FlowReport::Shard sh;
-    sh.name = src.name;
-    sh.d = src.fn();
-    // Counters are reported as deltas against the baseline; the sketches
-    // (top-K table, HLL registers) stay cumulative — they have no
-    // subtraction — and the exemplar ring is filtered by timestamp.
-    sh.d.packets = saturating_sub(sh.d.packets, src.baseline.packets);
-    sh.d.bytes = saturating_sub(sh.d.bytes, src.baseline.bytes);
-    sh.d.new_flows = saturating_sub(sh.d.new_flows, src.baseline.new_flows);
-    for (std::size_t r = 0; r < kDropReasonCount; ++r) {
-      sh.d.drops[r] = saturating_sub(sh.d.drops[r], src.baseline.drops[r]);
-    }
-    for (std::size_t g = 0; g < sh.d.graphs.size(); ++g) {
-      if (g < src.baseline.graphs.size()) {
-        const GraphFlowCounters& base = src.baseline.graphs[g];
-        sh.d.graphs[g].traffic.packets = saturating_sub(
-            sh.d.graphs[g].traffic.packets, base.traffic.packets);
-        sh.d.graphs[g].traffic.bytes =
-            saturating_sub(sh.d.graphs[g].traffic.bytes, base.traffic.bytes);
-        sh.d.graphs[g].drops = saturating_sub(sh.d.graphs[g].drops,
-                                              base.drops);
-        sh.d.graphs[g].latency =
-            hdr_delta(sh.d.graphs[g].latency, base.latency);
-      }
-    }
-    std::erase_if(sh.d.exemplars, [this](const DropExemplar& e) {
-      return e.when_ns < baseline_ns_;
-    });
-    rep.total += sh.d;
-    rep.shards.push_back(std::move(sh));
+ShardFlowSnapshot FlowObservatory::delta(ShardFlowSnapshot now,
+                                         const ShardFlowSnapshot& base) const {
+  // The sketches (top-K table, HLL registers) have no subtraction and stay
+  // cumulative; the exemplar ring is filtered by timestamp.
+  now.packets = saturating_sub(now.packets, base.packets);
+  now.bytes = saturating_sub(now.bytes, base.bytes);
+  now.new_flows = saturating_sub(now.new_flows, base.new_flows);
+  for (std::size_t r = 0; r < kDropReasonCount; ++r) {
+    now.drops[r] = saturating_sub(now.drops[r], base.drops[r]);
   }
-  // Shard sections render their local top-K depth; the merged table keeps
-  // the largest per-shard capacity so the accuracy guarantee carries over.
-  return rep;
+  for (std::size_t g = 0; g < now.graphs.size() && g < base.graphs.size();
+       ++g) {
+    GraphFlowCounters& cur = now.graphs[g];
+    const GraphFlowCounters& old = base.graphs[g];
+    cur.traffic.packets =
+        saturating_sub(cur.traffic.packets, old.traffic.packets);
+    cur.traffic.bytes = saturating_sub(cur.traffic.bytes, old.traffic.bytes);
+    cur.drops = saturating_sub(cur.drops, old.drops);
+    cur.latency = histogram_delta(cur.latency, old.latency);
+  }
+  std::erase_if(now.exemplars, [this](const DropExemplar& e) {
+    return e.when_ns < baseline_ns();
+  });
+  return now;
 }
 
-FlowReport FlowObservatory::report() const {
-  const std::scoped_lock lock(mu_);
-  return report_locked();
+void FlowObservatory::on_probe_refresh(const FlowReport& rep, u64 now_ns) {
+  // flow_new_rate is the between-refresh derivative, not the lifetime
+  // average: churny phases show up immediately.
+  const u64 cur = rep.total.new_flows;
+  new_flow_rate_ =
+      prev_stamp_ns_ != 0 && now_ns > prev_stamp_ns_ && cur >= prev_new_flows_
+          ? static_cast<double>(cur - prev_new_flows_) * 1e9 /
+                static_cast<double>(now_ns - prev_stamp_ns_)
+          : 0.0;
+  prev_new_flows_ = cur;
+  prev_stamp_ns_ = now_ns;
 }
 
 void FlowObservatory::register_probes(TimeseriesCollector& collector) {
-  // One report per collector tick, same contract as the latency
-  // observatory: the first probe sampled inside a 200ms window refreshes
-  // the shared cache (all probes run on the collector thread).
-  std::shared_ptr<ProbeCache> cache = probe_cache_;
-  auto refreshed = [this, cache]() -> const FlowReport& {
-    const u64 now = options_.clock();
-    if (cache->stamp_ns == 0 ||
-        saturating_sub(now, cache->stamp_ns) > 200ull * 1000 * 1000) {
-      cache->report = report();
-      // flow_new_rate is the between-refresh derivative, not the lifetime
-      // average: churny phases show up immediately.
-      const u64 cur = cache->report.total.new_flows;
-      if (cache->prev_stamp_ns != 0 && now > cache->prev_stamp_ns &&
-          cur >= cache->prev_new_flows) {
-        cache->new_flow_rate =
-            static_cast<double>(cur - cache->prev_new_flows) * 1e9 /
-            static_cast<double>(now - cache->prev_stamp_ns);
-      } else {
-        cache->new_flow_rate = 0;
-      }
-      cache->prev_new_flows = cur;
-      cache->prev_stamp_ns = now;
-      cache->stamp_ns = now;
-    }
-    return cache->report;
+  const auto probe = [&](std::string name, auto read) {
+    collector.add_probe(std::move(name), {},
+                        [this, read] { return read(probe_report()); });
   };
-  collector.add_probe("flows_active", {}, [refreshed] {
-    return refreshed().flows_active();
+  probe("flows_active", [](const FlowReport& rep) {
+    return rep.flows_active();
   });
-  collector.add_probe("flow_new_rate", {}, [refreshed, cache] {
-    refreshed();
-    return cache->new_flow_rate;
-  });
-  collector.add_probe("hh_top1_share", {}, [refreshed] {
-    return refreshed().hh_top1_share();
+  probe("flow_new_rate", [this](const FlowReport&) { return new_flow_rate_; });
+  probe("hh_top1_share", [](const FlowReport& rep) {
+    return rep.hh_top1_share();
   });
   for (std::size_t r = 0; r < kDropReasonCount; ++r) {
-    collector.add_probe(
-        std::string("drops_") + kReasonNames[r] + "_total", {},
-        [refreshed, r] {
-          return static_cast<double>(refreshed().total.drops[r]);
-        });
+    probe(std::string("drops_") + kReasonNames[r] + "_total",
+          [r](const FlowReport& rep) {
+            return static_cast<double>(rep.total.drops[r]);
+          });
   }
 }
 

@@ -50,7 +50,6 @@
 #include <bit>
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
@@ -61,6 +60,7 @@
 #include "common/types.hpp"
 #include "flow/flow_counters.hpp"
 #include "telemetry/latency_observatory.hpp"
+#include "telemetry/sharded_observatory.hpp"
 
 namespace nfp::telemetry {
 
@@ -240,7 +240,7 @@ struct FlowSample {
 struct GraphFlowCounters {
   PacketByteCount traffic;
   u64 drops = 0;
-  HdrSnapshot latency;  // total stage; empty unless latency sampling is on
+  Histogram latency;  // total stage; empty unless latency sampling is on
 
   GraphFlowCounters& operator+=(const GraphFlowCounters& other) noexcept {
     traffic += other.traffic;
@@ -350,55 +350,34 @@ struct FlowObservatoryOptions {
   std::function<u64()> clock;      // ns; defaults to mono_now_ns
 };
 
-// Registry of per-shard snapshot callbacks + a counter baseline, mirroring
-// LatencyObservatory: add_shard/reset_baseline/report serialize on an
-// internal mutex; callbacks read dataplane-owned state that is safe to
-// scrape mid-run.
-class FlowObservatory {
+// Counters are deltas since the baseline (packets/bytes/new_flows/drops/
+// graphs, and exemplars older than the baseline are dropped); the sketches
+// are cumulative by nature. Callbacks read dataplane-owned state that is
+// safe to scrape mid-run.
+class FlowObservatory final
+    : public ShardedObservatory<ShardFlowSnapshot, FlowReport> {
  public:
   using Options = FlowObservatoryOptions;
-  using SnapshotFn = std::function<ShardFlowSnapshot()>;
 
-  explicit FlowObservatory(Options options = {});
+  explicit FlowObservatory(Options options = {})
+      : ShardedObservatory(std::move(options.clock)),
+        top_k_(options.top_k == 0 ? 10 : options.top_k) {}
 
-  void add_shard(std::string name, SnapshotFn fn);
-  std::size_t shard_count() const;
-
-  // Re-zeroes the counter baseline (packets/bytes/new_flows/drops/graphs
-  // and the exemplar-time floor). Sketches are cumulative by nature. Call
-  // after start() so warm-up traffic is excluded.
-  void reset_baseline();
-
-  FlowReport report() const;
-  std::string to_json() const { return report().to_json(); }
-
-  // Publishes flows_active, flow_new_rate (per-second, between collector
-  // refreshes), hh_top1_share and drops_<reason>_total probes. One
-  // underlying report per collector tick via the shared 200ms cache.
+  // Publishes flows_active, flow_new_rate (per-second, between probe-cache
+  // refreshes), hh_top1_share and drops_<reason>_total probes.
   void register_probes(TimeseriesCollector& collector);
 
  private:
-  struct Source {
-    std::string name;
-    SnapshotFn fn;
-    ShardFlowSnapshot baseline;
-  };
+  ShardFlowSnapshot delta(ShardFlowSnapshot now,
+                          const ShardFlowSnapshot& base) const override;
+  void finish(FlowReport& rep) const override { rep.top_k = top_k_; }
+  void on_probe_refresh(const FlowReport& rep, u64 now_ns) override;
 
-  struct ProbeCache {
-    FlowReport report;
-    u64 stamp_ns = 0;
-    double new_flow_rate = 0;  // between-refresh rate for the probe
-    u64 prev_new_flows = 0;
-    u64 prev_stamp_ns = 0;
-  };
-
-  FlowReport report_locked() const;
-
-  mutable std::mutex mu_;
-  Options options_;
-  std::vector<Source> sources_;
-  u64 baseline_ns_ = 0;
-  std::shared_ptr<ProbeCache> probe_cache_;
+  std::size_t top_k_;
+  // flow_new_rate state; the collector thread's, like the probe cache.
+  double new_flow_rate_ = 0;
+  u64 prev_new_flows_ = 0;
+  u64 prev_stamp_ns_ = 0;
 };
 
 }  // namespace nfp::telemetry

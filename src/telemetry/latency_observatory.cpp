@@ -1,11 +1,11 @@
 #include "telemetry/latency_observatory.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <sstream>
 
-#include "telemetry/health_sampler.hpp"
+#include "common/json.hpp"
+#include "telemetry/exporters.hpp"
 #include "telemetry/timeseries.hpp"
 
 namespace nfp::telemetry {
@@ -16,28 +16,11 @@ constexpr std::array<const char*, kLatencyStageCount> kStageNames = {
     "ingest", "queue", "service", "merge_wait", "egress", "total",
 };
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 std::string fmt_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.3f", v);
   return buf;
 }
-
-u64 saturating_sub(u64 a, u64 b) noexcept { return a >= b ? a - b : 0; }
 
 double to_us(u64 ns) { return static_cast<double>(ns) / 1e3; }
 
@@ -48,81 +31,24 @@ const char* latency_stage_name(LatencyStage s) noexcept {
   return i < kStageNames.size() ? kStageNames[i] : "unknown";
 }
 
-std::size_t latency_bucket_index(u64 value) noexcept {
-  // Same geometry as stats/histogram.hpp: exact below kLatSubBuckets, then
-  // log2 buckets split into kLatSubBuckets linear sub-buckets. Values past
-  // the 40-exponent range clamp into the last bucket.
-  if (value < kLatSubBuckets) return static_cast<std::size_t>(value);
-  const int msb = 63 - std::countl_zero(value);
-  const auto exponent = static_cast<std::size_t>(msb) - 3;
-  const std::size_t sub =
-      static_cast<std::size_t>(value >> (msb - 4)) & (kLatSubBuckets - 1);
-  const std::size_t idx = exponent * kLatSubBuckets + sub;
-  return idx < kLatBuckets ? idx : kLatBuckets - 1;
-}
-
-u64 latency_bucket_value(std::size_t index) noexcept {
-  if (index < kLatSubBuckets) return index;
-  const std::size_t exponent = index / kLatSubBuckets;
-  const std::size_t sub = index % kLatSubBuckets;
-  const int shift = static_cast<int>(exponent) - 1;
-  return (u64{kLatSubBuckets} << shift) | (static_cast<u64>(sub) << shift);
-}
-
-u64 HdrSnapshot::min() const noexcept {
-  if (total == 0) return 0;
-  for (std::size_t i = 0; i < kLatBuckets; ++i) {
-    if (counts[i] != 0) return latency_bucket_value(i);
+Histogram StageLatencyBlock::snapshot(LatencyStage s) const noexcept {
+  Histogram& h = stages_[static_cast<std::size_t>(s)];
+  const auto load = [](u64& v) {
+    return std::atomic_ref(v).load(std::memory_order_relaxed);
+  };
+  Histogram snap;
+  for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
+    snap.counts[i] = load(h.counts[i]);
   }
-  return 0;
-}
-
-u64 HdrSnapshot::max() const noexcept {
-  if (total == 0) return 0;
-  for (std::size_t i = kLatBuckets; i-- > 0;) {
-    if (counts[i] != 0) return latency_bucket_value(i);
-  }
-  return 0;
-}
-
-u64 HdrSnapshot::quantile(double q) const noexcept {
-  if (total == 0) return 0;
-  q = std::clamp(q, 0.0, 1.0);
-  u64 target = static_cast<u64>(q * static_cast<double>(total - 1)) + 1;
-  for (std::size_t i = 0; i < kLatBuckets; ++i) {
-    if (counts[i] >= target) return latency_bucket_value(i);
-    target -= counts[i];
-  }
-  return max();
-}
-
-HdrSnapshot& HdrSnapshot::operator+=(const HdrSnapshot& other) noexcept {
-  for (std::size_t i = 0; i < kLatBuckets; ++i) counts[i] += other.counts[i];
-  total += other.total;
-  sum += other.sum;
-  return *this;
-}
-
-HdrSnapshot hdr_delta(const HdrSnapshot& now,
-                      const HdrSnapshot& then) noexcept {
-  HdrSnapshot d;
-  for (std::size_t i = 0; i < kLatBuckets; ++i) {
-    d.counts[i] = saturating_sub(now.counts[i], then.counts[i]);
-  }
-  d.total = saturating_sub(now.total, then.total);
-  d.sum = saturating_sub(now.sum, then.sum);
-  return d;
-}
-
-HdrSnapshot StageLatencyBlock::snapshot(LatencyStage s) const noexcept {
-  const Stage& st = stages_[static_cast<std::size_t>(s)];
-  HdrSnapshot snap;
-  for (std::size_t i = 0; i < kLatBuckets; ++i) {
-    snap.counts[i] = st.counts[i].load(std::memory_order_relaxed);
-  }
-  snap.total = st.total.load(std::memory_order_relaxed);
-  snap.sum = st.sum.load(std::memory_order_relaxed);
+  snap.total = load(h.total);
+  snap.sum = load(h.sum);
   return snap;
+}
+
+void ShardLatencySnapshot::add(const StageLatencyBlock& block) noexcept {
+  for (std::size_t i = 0; i < kLatencyStageCount; ++i) {
+    stages[i] += block.snapshot(static_cast<LatencyStage>(i));
+  }
 }
 
 ShardLatencySnapshot& ShardLatencySnapshot::operator+=(
@@ -132,6 +58,7 @@ ShardLatencySnapshot& ShardLatencySnapshot::operator+=(
   }
   queue_depth += other.queue_depth;
   ingest_queue_depth += other.ingest_queue_depth;
+  sample_every = std::max(sample_every, other.sample_every);
   return *this;
 }
 
@@ -140,7 +67,7 @@ ShardLatencySnapshot& ShardLatencySnapshot::operator+=(
 
 namespace {
 
-void stage_json(std::ostringstream& out, const HdrSnapshot& h) {
+void stage_json(std::ostringstream& out, const Histogram& h) {
   out << "{\"count\":" << h.count() << ",\"mean_us\":" << fmt_double(
              h.mean() / 1e3)
       << ",\"p50_us\":" << fmt_double(to_us(h.quantile(0.50)))
@@ -151,7 +78,7 @@ void stage_json(std::ostringstream& out, const HdrSnapshot& h) {
 }
 
 void stages_json(std::ostringstream& out,
-                 const std::array<HdrSnapshot, kLatencyStageCount>& stages) {
+                 const std::array<Histogram, kLatencyStageCount>& stages) {
   out << "{";
   for (std::size_t i = 0; i < kLatencyStageCount; ++i) {
     if (i > 0) out << ",";
@@ -165,15 +92,16 @@ void stages_json(std::ostringstream& out,
 
 std::string LatencyReport::to_json() const {
   std::ostringstream out;
-  out << "{\"sample_every\":" << sample_every
+  out << "{\"sample_every\":" << total.sample_every
       << ",\"wall_seconds\":" << fmt_double(wall_seconds)
       << ",\"sampled\":" << sampled()
       << ",\"error_bound\":\"quantiles are HDR bucket lower bounds, "
-         "relative error <= 1/" << kLatSubBuckets << "\",\"shards\":[";
+         "relative error <= 1/" << Histogram::kSubBuckets
+      << "\",\"shards\":[";
   for (std::size_t s = 0; s < shards.size(); ++s) {
     const Shard& sh = shards[s];
     if (s > 0) out << ",";
-    out << "{\"name\":\"" << escape(sh.name) << "\",\"sampled\":"
+    out << "{\"name\":\"" << json::escape(sh.name) << "\",\"sampled\":"
         << sh.d.stage(LatencyStage::kTotal).count()
         << ",\"queue_depth\":" << fmt_double(sh.d.queue_depth)
         << ",\"ingest_queue_depth\":" << fmt_double(sh.d.ingest_queue_depth)
@@ -181,10 +109,10 @@ std::string LatencyReport::to_json() const {
     stages_json(out, sh.d.stages);
     out << "}";
   }
-  out << "],\"total\":{\"queue_depth\":" << fmt_double(queue_depth)
-      << ",\"ingest_queue_depth\":" << fmt_double(ingest_queue_depth)
+  out << "],\"total\":{\"queue_depth\":" << fmt_double(total.queue_depth)
+      << ",\"ingest_queue_depth\":" << fmt_double(total.ingest_queue_depth)
       << ",\"stages\":";
-  stages_json(out, total);
+  stages_json(out, total.stages);
   out << "}}";
   return out.str();
 }
@@ -197,7 +125,7 @@ std::string LatencyReport::to_text() const {
                 "p90us", "p99us", "p99.9us", "maxus", "meanus", "samples");
   out << line;
   for (std::size_t i = 0; i < kLatencyStageCount; ++i) {
-    const HdrSnapshot& h = total[i];
+    const Histogram& h = total.stages[i];
     std::snprintf(line, sizeof(line),
                   "%-10s %9.1f %9.1f %9.1f %9.1f %9.1f %9.1f %10llu\n",
                   kStageNames[i], to_us(h.quantile(0.50)),
@@ -208,7 +136,7 @@ std::string LatencyReport::to_text() const {
   }
   if (shards.size() > 1) {
     for (const Shard& sh : shards) {
-      const HdrSnapshot& t = sh.d.stage(LatencyStage::kTotal);
+      const Histogram& t = sh.d.stage(LatencyStage::kTotal);
       std::snprintf(line, sizeof(line),
                     "%-10s total p50=%.1fus p99=%.1fus p99.9=%.1fus "
                     "samples=%llu queue_depth=%.0f\n",
@@ -223,43 +151,15 @@ std::string LatencyReport::to_text() const {
 }
 
 std::string LatencyReport::to_prometheus() const {
-  // Native Prometheus histogram exposition over coarse power-of-two
-  // boundaries (full 640-bucket fidelity would explode scrape size; the
-  // per-power cut keeps <= ~40 le-buckets per series with the same
-  // bounded relative error story). `le` is treated as an exclusive upper
-  // bound internally; only values exactly equal to a boundary land one
-  // bucket higher than a strict <= would place them.
   std::ostringstream out;
   out << "# TYPE nfp_latency_ns histogram\n";
   for (const Shard& sh : shards) {
     for (std::size_t i = 0; i < kLatencyStageCount; ++i) {
-      const HdrSnapshot& h = sh.d.stages[i];
-      const std::string labels = std::string("{stage=\"") + kStageNames[i] +
-                                 "\",shard=\"" + escape(sh.name) + "\"";
-      u64 cumulative = 0;
-      std::size_t bucket = 0;
-      // One le-boundary per power of two: buckets [k*16, (k+1)*16) share
-      // the same exponent, so fold each run of 16 into one boundary.
-      for (std::size_t exp_end = kLatSubBuckets; bucket < kLatBuckets;
-           exp_end += kLatSubBuckets) {
-        const std::size_t end = std::min(exp_end, kLatBuckets);
-        u64 run = 0;
-        for (; bucket < end; ++bucket) run += h.counts[bucket];
-        cumulative += run;
-        if (cumulative == 0) continue;  // skip the empty low tail
-        if (end < kLatBuckets) {
-          out << "nfp_latency_ns_bucket" << labels << ",le=\""
-              << latency_bucket_value(end) << "\"} " << cumulative << "\n";
-        }
-        if (cumulative == h.total) break;  // tail is flat from here
-      }
-      // The +Inf bucket is mandatory in the exposition format, even for
-      // empty series and even when a finite boundary already covers the
-      // whole population.
-      out << "nfp_latency_ns_bucket" << labels << ",le=\"+Inf\"} "
-          << h.total << "\n";
-      out << "nfp_latency_ns_sum" << labels << "} " << h.sum << "\n";
-      out << "nfp_latency_ns_count" << labels << "} " << h.total << "\n";
+      write_prometheus_histogram(out, "nfp_latency_ns",
+                                 std::string("stage=\"") + kStageNames[i] +
+                                     "\",shard=\"" +
+                                     prom_escape_label(sh.name) + "\"",
+                                 sh.d.stages[i]);
     }
   }
   return out.str();
@@ -268,122 +168,42 @@ std::string LatencyReport::to_prometheus() const {
 // ---------------------------------------------------------------------------
 // Observatory.
 
-LatencyObservatory::LatencyObservatory(Options options)
-    : options_(std::move(options)),
-      probe_cache_(std::make_shared<ProbeCache>()) {
-  if (!options_.clock) options_.clock = [] { return mono_now_ns(); };
-  baseline_ns_ = options_.clock();
-}
-
-void LatencyObservatory::add_shard(std::string name, SnapshotFn fn) {
-  if (!fn) return;
-  const std::scoped_lock lock(mu_);
-  Source src;
-  src.name = std::move(name);
-  src.baseline = fn();
-  src.fn = std::move(fn);
-  sources_.push_back(std::move(src));
-}
-
-std::size_t LatencyObservatory::shard_count() const {
-  const std::scoped_lock lock(mu_);
-  return sources_.size();
-}
-
-void LatencyObservatory::reset_baseline() {
-  const std::scoped_lock lock(mu_);
-  for (Source& src : sources_) src.baseline = src.fn();
-  baseline_ns_ = options_.clock();
-}
-
-LatencyReport LatencyObservatory::report_locked() const {
-  LatencyReport rep;
-  rep.sample_every = options_.sample_every;
-  const u64 now = options_.clock();
-  rep.wall_seconds =
-      static_cast<double>(saturating_sub(now, baseline_ns_)) / 1e9;
-  for (const Source& src : sources_) {
-    LatencyReport::Shard sh;
-    sh.name = src.name;
-    ShardLatencySnapshot current = src.fn();
-    for (std::size_t i = 0; i < kLatencyStageCount; ++i) {
-      sh.d.stages[i] = hdr_delta(current.stages[i], src.baseline.stages[i]);
-      rep.total[i] += sh.d.stages[i];
-    }
-    // Queue depths are point-in-time gauges, not counters: no delta.
-    sh.d.queue_depth = current.queue_depth;
-    sh.d.ingest_queue_depth = current.ingest_queue_depth;
-    rep.queue_depth += current.queue_depth;
-    rep.ingest_queue_depth += current.ingest_queue_depth;
-    rep.shards.push_back(std::move(sh));
+ShardLatencySnapshot LatencyObservatory::delta(
+    ShardLatencySnapshot now, const ShardLatencySnapshot& base) const {
+  // Queue depths and the sampling rate are point-in-time values: no delta.
+  for (std::size_t i = 0; i < kLatencyStageCount; ++i) {
+    now.stages[i] = histogram_delta(now.stages[i], base.stages[i]);
   }
-  return rep;
-}
-
-LatencyReport LatencyObservatory::report() const {
-  const std::scoped_lock lock(mu_);
-  return report_locked();
+  return now;
 }
 
 void LatencyObservatory::register_probes(TimeseriesCollector& collector) {
-  const std::size_t shard_total = shard_count();
-  // One report per collector tick: the first probe sampled inside a 200ms
-  // window refreshes the cache, the rest read it (all probes run on the
-  // collector thread, so the cache needs no lock of its own).
-  std::shared_ptr<ProbeCache> cache = probe_cache_;
-  auto refreshed = [this, cache]() -> const LatencyReport& {
-    const u64 now = options_.clock();
-    if (cache->stamp_ns == 0 ||
-        saturating_sub(now, cache->stamp_ns) > 200ull * 1000 * 1000) {
-      cache->report = report();
-      cache->stamp_ns = now;
-    }
-    return cache->report;
-  };
-  for (std::size_t s = 0; s < shard_total; ++s) {
-    std::string shard_name;
-    {
-      const std::scoped_lock lock(mu_);
-      shard_name = sources_[s].name;
-    }
-    const Labels labels{{"shard", shard_name}};
-    for (std::size_t b = 0; b < kLatencyStageCount; ++b) {
+  const std::vector<std::string> names = shard_names();
+  for (std::size_t s = 0; s < names.size(); ++s) {
+    const Labels labels{{"shard", names[s]}};
+    const auto probe = [&](std::string name, auto read) {
       collector.add_probe(
-          std::string("latency_") + kStageNames[b] + "_p99", labels,
-          [refreshed, s, b] {
-            const LatencyReport& rep = refreshed();
-            return s < rep.shards.size()
-                       ? to_us(rep.shards[s].d.stages[b].quantile(0.99))
-                       : 0.0;
-          });
+          std::move(name), labels,
+          shard_probe(s, [read](const LatencyReport::Shard& sh) {
+            return read(sh.d);
+          }));
+    };
+    const auto quantile_us = [](std::size_t stage, double q) {
+      return [stage, q](const ShardLatencySnapshot& d) {
+        return to_us(d.stages[stage].quantile(q));
+      };
+    };
+    for (std::size_t b = 0; b < kLatencyStageCount; ++b) {
+      probe(std::string("latency_") + kStageNames[b] + "_p99",
+            quantile_us(b, 0.99));
     }
-    collector.add_probe("latency_total_p50", labels, [refreshed, s] {
-      const LatencyReport& rep = refreshed();
-      return s < rep.shards.size()
-                 ? to_us(rep.shards[s]
-                             .d.stage(LatencyStage::kTotal)
-                             .quantile(0.50))
-                 : 0.0;
-    });
-    collector.add_probe("latency_total_p999", labels, [refreshed, s] {
-      const LatencyReport& rep = refreshed();
-      return s < rep.shards.size()
-                 ? to_us(rep.shards[s]
-                             .d.stage(LatencyStage::kTotal)
-                             .quantile(0.999))
-                 : 0.0;
-    });
-    collector.add_probe("latency_queue_depth", labels, [refreshed, s] {
-      const LatencyReport& rep = refreshed();
-      return s < rep.shards.size() ? rep.shards[s].d.queue_depth : 0.0;
-    });
-    collector.add_probe("latency_ingest_queue_depth", labels,
-                        [refreshed, s] {
-                          const LatencyReport& rep = refreshed();
-                          return s < rep.shards.size()
-                                     ? rep.shards[s].d.ingest_queue_depth
-                                     : 0.0;
-                        });
+    const auto total = static_cast<std::size_t>(LatencyStage::kTotal);
+    probe("latency_total_p50", quantile_us(total, 0.50));
+    probe("latency_total_p999", quantile_us(total, 0.999));
+    probe("latency_queue_depth",
+          [](const ShardLatencySnapshot& d) { return d.queue_depth; });
+    probe("latency_ingest_queue_depth",
+          [](const ShardLatencySnapshot& d) { return d.ingest_queue_depth; });
   }
 }
 

@@ -30,11 +30,9 @@
 // The recording contract mirrors ScalabilityProfiler: samples land in
 // per-thread, cacheline-aligned StageLatencyBlocks written by exactly one
 // thread (relaxed atomics); aggregation happens only at scrape time via
-// per-shard snapshot callbacks. Storage is a fixed-footprint HDR-style
-// histogram — log2 buckets with kLatSubBuckets linear sub-buckets — so
-// quantiles carry a bounded relative error of 1/kLatSubBuckets (6.25%:
-// a bucket's reported lower bound b satisfies b <= v < b + b/16 for every
-// value v it holds) and snapshots merge associatively across shards.
+// per-shard snapshot callbacks. Storage is the fixed-footprint HDR
+// histogram of stats/histogram.hpp, so quantiles carry a bounded relative
+// error of 1/16 (6.25%) and snapshots merge associatively across shards.
 //
 // Surfaces: /latency.json, latency_<stage>_p99{shard=N} timeseries probes,
 // per-shard queue-depth probes (SpscRing::size() sampled at scrape), the
@@ -48,12 +46,13 @@
 #include <atomic>
 #include <cstddef>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
+#include "stats/histogram.hpp"
+#include "telemetry/sharded_observatory.hpp"
 
 namespace nfp::telemetry {
 
@@ -84,74 +83,49 @@ constexpr bool latency_sample_hash(u64 flow_hash, std::size_t every) noexcept {
   return ((flow_hash * 0x9E3779B97F4A7C15ull) >> 32) % every == 0;
 }
 
-// HDR-style log-bucketed histogram geometry: values 0..15 are exact, above
-// that each power of two splits into kLatSubBuckets linear sub-buckets.
-// 40 exponents cover ~18 minutes in nanoseconds — any live packet latency.
-inline constexpr std::size_t kLatSubBuckets = 16;
-inline constexpr std::size_t kLatBuckets = 40 * kLatSubBuckets;
-
-std::size_t latency_bucket_index(u64 value) noexcept;
-u64 latency_bucket_value(std::size_t index) noexcept;  // lower bound
-
-// Plain-value histogram snapshot for one stage: mergeable (operator+=),
-// subtractable (delta vs. a baseline) and quantile-queryable. min/max are
-// derived from the occupied buckets, so they carry the same bounded
-// relative error as the quantiles.
-struct HdrSnapshot {
-  std::array<u64, kLatBuckets> counts{};
-  u64 total = 0;
-  u64 sum = 0;  // exact sum of recorded values
-
-  u64 count() const noexcept { return total; }
-  double mean() const noexcept {
-    return total ? static_cast<double>(sum) / static_cast<double>(total) : 0.0;
-  }
-  u64 min() const noexcept;
-  u64 max() const noexcept;
-  // Bucket lower bound at quantile q in [0,1]; relative error bounded by
-  // 1/kLatSubBuckets (the reported value never exceeds the true one).
-  u64 quantile(double q) const noexcept;
-
-  HdrSnapshot& operator+=(const HdrSnapshot& other) noexcept;
-};
-
-// now - then per bucket, saturating (baselines may outlive a dataplane).
-HdrSnapshot hdr_delta(const HdrSnapshot& now, const HdrSnapshot& then) noexcept;
+// Stage histograms are the one HDR type, stats/histogram.hpp (16 linear
+// sub-buckets per power of two, 640 buckets, lower bounds within 1/16).
+// perfbench/ and nfp_cli read them under these latency names.
+using HdrSnapshot = Histogram;
+inline constexpr std::size_t kLatBuckets = Histogram::kBuckets;
+inline u64 latency_bucket_value(std::size_t index) noexcept {
+  return Histogram::value_of(index);
+}
 
 // One thread's recording block: written by exactly one thread with relaxed
 // adds into its own cachelines, folded by scrape-side readers. Nothing
 // shared is written on the hot path (the ScalabilityProfiler contract).
 struct alignas(kCacheLineSize) StageLatencyBlock {
   void record(LatencyStage s, u64 ns) noexcept {
-    auto& st = stages_[static_cast<std::size_t>(s)];
-    st.counts[latency_bucket_index(ns)].fetch_add(1,
-                                                  std::memory_order_relaxed);
-    st.total.fetch_add(1, std::memory_order_relaxed);
-    st.sum.fetch_add(ns, std::memory_order_relaxed);
+    Histogram& h = stages_[static_cast<std::size_t>(s)];
+    std::atomic_ref(h.counts[Histogram::index_of(ns)])
+        .fetch_add(1, std::memory_order_relaxed);
+    std::atomic_ref(h.total).fetch_add(1, std::memory_order_relaxed);
+    std::atomic_ref(h.sum).fetch_add(ns, std::memory_order_relaxed);
   }
 
-  HdrSnapshot snapshot(LatencyStage s) const noexcept;
+  Histogram snapshot(LatencyStage s) const noexcept;
 
  private:
-  struct Stage {
-    std::array<std::atomic<u64>, kLatBuckets> counts{};
-    std::atomic<u64> total{0};
-    std::atomic<u64> sum{0};
-  };
-  std::array<Stage, kLatencyStageCount> stages_{};
+  // Touched only through std::atomic_ref, which needs a mutable referent
+  // even to load.
+  mutable std::array<Histogram, kLatencyStageCount> stages_{};
 };
 
 // Scrape-time aggregate for one shard: the stage histograms folded across
 // the shard's threads, plus point-in-time queue occupancy (sampled
 // SpscRing::size() sums) as the correlating queue-depth signal.
 struct ShardLatencySnapshot {
-  std::array<HdrSnapshot, kLatencyStageCount> stages{};
+  std::array<Histogram, kLatencyStageCount> stages{};
   double queue_depth = 0;        // packets resident in this shard's rings
   double ingest_queue_depth = 0; // director -> shard RX ring occupancy
+  std::size_t sample_every = 0;  // the plane's 1-in-N rate (0 = off)
 
-  const HdrSnapshot& stage(LatencyStage s) const noexcept {
+  const Histogram& stage(LatencyStage s) const noexcept {
     return stages[static_cast<std::size_t>(s)];
   }
+  // Adds one thread's stage histograms.
+  void add(const StageLatencyBlock& block) noexcept;
   ShardLatencySnapshot& operator+=(const ShardLatencySnapshot& other) noexcept;
 };
 
@@ -163,17 +137,12 @@ struct LatencyReport {
   };
 
   std::vector<Shard> shards;
-  std::array<HdrSnapshot, kLatencyStageCount> total{};
-  double queue_depth = 0;
-  double ingest_queue_depth = 0;
-  std::size_t sample_every = 0;
+  ShardLatencySnapshot total;
   double wall_seconds = 0;
 
-  u64 sampled() const noexcept {
-    return total[static_cast<std::size_t>(LatencyStage::kTotal)].count();
-  }
-  const HdrSnapshot& stage(LatencyStage s) const noexcept {
-    return total[static_cast<std::size_t>(s)];
+  u64 sampled() const noexcept { return stage(LatencyStage::kTotal).count(); }
+  const Histogram& stage(LatencyStage s) const noexcept {
+    return total.stage(s);
   }
 
   std::string to_json() const;
@@ -185,56 +154,27 @@ struct LatencyReport {
 };
 
 struct LatencyObservatoryOptions {
-  std::size_t sample_every = 64;  // reported, not enforced here: the
-                                  // dataplane options carry the knob
-  std::function<u64()> clock;     // ns; defaults to mono_now_ns
+  std::function<u64()> clock;  // ns; defaults to mono_now_ns
 };
 
-// Registry of per-shard snapshot callbacks + a baseline. Thread-safe:
-// add_shard/reset_baseline/report serialize on an internal mutex; the
-// callbacks only read relaxed atomics owned by dataplane threads.
-class LatencyObservatory {
+// Per-shard stage histograms as deltas since the baseline; queue depths
+// and the sampling rate are point-in-time values. The sampling rate comes
+// from the shards' snapshots, i.e. from the plane that samples.
+class LatencyObservatory final
+    : public ShardedObservatory<ShardLatencySnapshot, LatencyReport> {
  public:
   using Options = LatencyObservatoryOptions;
-  using SnapshotFn = std::function<ShardLatencySnapshot()>;
 
-  explicit LatencyObservatory(Options options = {});
-
-  void add_shard(std::string name, SnapshotFn fn);
-  std::size_t shard_count() const;
-
-  // Re-zeroes the report: subsequent report() deltas are relative to the
-  // counter values and wall-clock now. Call after start() so spawn cost
-  // and warm-up samples are excluded.
-  void reset_baseline();
-
-  LatencyReport report() const;
-  std::string to_json() const { return report().to_json(); }
+  explicit LatencyObservatory(Options options = {})
+      : ShardedObservatory(std::move(options.clock)) {}
 
   // Publishes latency_<stage>_p99{shard=...} (plus latency_total_p50 /
-  // latency_total_p999) and latency_queue_depth probes. One underlying
-  // report per tick: the first probe sampled refreshes a cached report.
+  // latency_total_p999) and latency_queue_depth probes.
   void register_probes(TimeseriesCollector& collector);
 
  private:
-  struct Source {
-    std::string name;
-    SnapshotFn fn;
-    ShardLatencySnapshot baseline;
-  };
-
-  struct ProbeCache {
-    LatencyReport report;
-    u64 stamp_ns = 0;
-  };
-
-  LatencyReport report_locked() const;
-
-  mutable std::mutex mu_;
-  Options options_;
-  std::vector<Source> sources_;
-  u64 baseline_ns_ = 0;
-  std::shared_ptr<ProbeCache> probe_cache_;
+  ShardLatencySnapshot delta(ShardLatencySnapshot now,
+                             const ShardLatencySnapshot& base) const override;
 };
 
 }  // namespace nfp::telemetry

@@ -120,7 +120,7 @@ class MetricsRegistry {
       mine.high_water.store(
           std::max(mine.high_water.load(), g.high_water.load()));
     }
-    for (const auto& [k, h] : other.histograms_) histograms_[k].merge(h);
+    for (const auto& [k, h] : other.histograms_) histograms_[k] += h;
   }
 
   const std::map<MetricKey, Counter>& counters() const noexcept {

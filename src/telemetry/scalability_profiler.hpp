@@ -1,13 +1,13 @@
 // Scalability profiler: attributes every lost packet-per-second when
 // shards scale.
 //
-// BENCH_shard_scaling.json says par4 at 2 shards runs at 0.609x the
-// 1-shard rate; this profiler answers *where* the other 39% went. The
-// model is per-thread cycle accounting: every dataplane loop (shard
-// worker, NF thread, merger) already reads the monotonic clock once per
-// iteration for its heartbeat, so each iteration's wall-time interval is
-// classified — at the cost of one relaxed fetch_add to a thread-private
-// cacheline — into exactly one bucket:
+// When adding a shard does not add its share of packets per second, this
+// profiler answers *where* the missing rate went. The model is per-thread
+// cycle accounting: every dataplane loop (shard worker, NF thread, merger)
+// already reads the monotonic clock once per iteration for its heartbeat,
+// so each iteration's wall-time interval is classified — at the cost of
+// one relaxed fetch_add to a thread-private cacheline — into exactly one
+// bucket:
 //
 //   useful        packets were processed (burst pop + NF work + delivery)
 //   starved       idle with nothing upstream (ingest-starved polling)
@@ -40,12 +40,11 @@
 #include <atomic>
 #include <cstddef>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/types.hpp"
+#include "telemetry/sharded_observatory.hpp"
 
 namespace nfp::telemetry {
 
@@ -138,6 +137,13 @@ struct ShardScalabilitySnapshot {
   }
   u64 accounted_ns() const noexcept;
 
+  // Adds one thread's bucket nanoseconds.
+  void add(const CycleCounters& block) noexcept {
+    for (std::size_t i = 0; i < kCycleBucketCount; ++i) {
+      ns[i] += block.ns[i].load(std::memory_order_relaxed);
+    }
+  }
+
   ShardScalabilitySnapshot& operator+=(
       const ShardScalabilitySnapshot& other) noexcept;
 };
@@ -217,53 +223,31 @@ struct ScalabilityProfilerOptions {
   std::function<u64()> clock;  // ns; defaults to mono_now_ns
 };
 
-// Registry of shard snapshot callbacks + a baseline, folding live counters
-// into ScalabilityReports. Thread-safe: add_shard/reset_baseline/report
-// serialize on an internal mutex; the callbacks themselves only read
-// relaxed atomics owned by dataplane threads.
-class ScalabilityProfiler {
+// Folds live shard counters into ScalabilityReports, plus the process's
+// hardware counters against their own baseline.
+class ScalabilityProfiler final
+    : public ShardedObservatory<ShardScalabilitySnapshot, ScalabilityReport> {
  public:
   using Options = ScalabilityProfilerOptions;
-  using SnapshotFn = std::function<ShardScalabilitySnapshot()>;
 
   explicit ScalabilityProfiler(Options options = {});
 
-  void add_shard(std::string name, SnapshotFn fn);
-  std::size_t shard_count() const;
-
-  // Re-zeroes the report: subsequent report() deltas are relative to the
-  // counter values and wall-clock now. Called after start() so thread
-  // spawn cost is excluded.
-  void reset_baseline();
-
-  ScalabilityReport report() const;
-  std::string to_json() const { return report().to_json(); }
-
   // Publishes per-shard bucket shares (and pps) as timeseries probes named
-  // scalability_<bucket>_share{shard=...}. One underlying report per tick:
-  // the first probe sampled refreshes a cached report, the rest read it.
+  // scalability_<bucket>_share{shard=...}.
   void register_probes(TimeseriesCollector& collector);
 
  private:
-  struct Source {
-    std::string name;
-    SnapshotFn fn;
-    ShardScalabilitySnapshot baseline;
-  };
+  ShardScalabilitySnapshot delta(
+      ShardScalabilitySnapshot now,
+      const ShardScalabilitySnapshot& base) const override {
+    return snapshot_delta(now, base);
+  }
+  void finish(ScalabilityReport& rep) const override;
+  void on_reset_baseline() override;
 
-  struct ProbeCache {
-    ScalabilityReport report;
-    u64 stamp_ns = 0;
-  };
-
-  mutable std::mutex mu_;
-  Options options_;
-  std::vector<Source> sources_;
-  u64 baseline_ns_ = 0;
-  mutable HwCounterGroup hw_;
-  mutable HwSample hw_baseline_;
-  mutable bool hw_baseline_set_ = false;
-  std::shared_ptr<ProbeCache> probe_cache_;
+  HwCounterGroup hw_;
+  HwSample hw_baseline_;
+  bool hw_baseline_set_ = false;
 };
 
 }  // namespace nfp::telemetry

@@ -295,31 +295,18 @@ void register_standard_endpoints(StatsServer& server,
                                    timeseries->to_json()};
     });
   }
-  if (sources.scalability != nullptr) {
-    const ScalabilityProfiler* scalability = sources.scalability;
-    // Internally synchronized; snapshot callbacks read relaxed atomics.
-    server.handle("/scalability.json", [scalability] {
+  // The observatories are internally synchronized; their snapshot
+  // callbacks read relaxed atomics or lock a shard's sketches briefly.
+  const auto serve_report = [&server](const char* path, const auto* source) {
+    if (source == nullptr) return;
+    server.handle(path, [source] {
       return StatsServer::Response{200, "application/json",
-                                   scalability->to_json()};
+                                   source->to_json()};
     });
-  }
-  if (sources.latency != nullptr) {
-    const LatencyObservatory* latency = sources.latency;
-    // Internally synchronized; snapshot callbacks read relaxed atomics.
-    server.handle("/latency.json", [latency] {
-      return StatsServer::Response{200, "application/json",
-                                   latency->to_json()};
-    });
-  }
-  if (sources.flows != nullptr) {
-    const FlowObservatory* flows = sources.flows;
-    // Internally synchronized; snapshot callbacks lock per-shard
-    // accountants only while copying.
-    server.handle("/flows.json", [flows] {
-      return StatsServer::Response{200, "application/json",
-                                   flows->to_json()};
-    });
-  }
+  };
+  serve_report("/scalability.json", sources.scalability);
+  serve_report("/latency.json", sources.latency);
+  serve_report("/flows.json", sources.flows);
   if (sources.tracer != nullptr) {
     const Tracer* tracer = sources.tracer;
     std::mutex* mu = sources.mu;

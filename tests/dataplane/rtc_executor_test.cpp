@@ -208,9 +208,7 @@ TEST(RtcExecutor, TwoShardRunSurvivesConcurrentScrapes) {
   popt.enable_hw = false;
   telemetry::ScalabilityProfiler prof(popt);
   dp.register_scalability(prof);
-  telemetry::LatencyObservatory::Options lopt;
-  lopt.sample_every = 1;
-  telemetry::LatencyObservatory obs(lopt);
+  telemetry::LatencyObservatory obs;
   dp.register_latency(obs);
 
   ASSERT_TRUE(dp.start().is_ok());
@@ -257,9 +255,7 @@ TEST(RtcExecutor, FusedMergeKeepsMergeWaitEmpty) {
       opts);
   ASSERT_EQ(dp.exec_mode(), ExecMode::kRtc);
 
-  telemetry::LatencyObservatory::Options lopt;
-  lopt.sample_every = 1;
-  telemetry::LatencyObservatory obs(lopt);
+  telemetry::LatencyObservatory obs;
   dp.register_latency(obs);
   ASSERT_TRUE(dp.start().is_ok());
   obs.reset_baseline();

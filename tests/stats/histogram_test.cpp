@@ -1,4 +1,6 @@
-// Tests for the log-bucketed histogram.
+// Tests for the log-bucketed histogram: bucket geometry, the bounded
+// quantile error vs. exact sorted samples (uniform/zipf/bimodal inputs),
+// merge semantics, and when min/max are exact.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -61,7 +63,7 @@ TEST(HistogramTest, MergeEqualsCombinedRecording) {
     (i % 2 == 0 ? a : b).record(v);
     combined.record(v);
   }
-  a.merge(b);
+  a += b;
   EXPECT_EQ(a.count(), combined.count());
   EXPECT_EQ(a.min(), combined.min());
   EXPECT_EQ(a.max(), combined.max());
@@ -106,7 +108,7 @@ TEST(HistogramTest, MergeEmptyIntoPopulatedKeepsMin) {
   a.record(100);
   a.record(200);
   const Histogram empty;
-  a.merge(empty);
+  a += empty;
   EXPECT_EQ(a.count(), 2u);
   EXPECT_EQ(a.min(), 100u) << "merging an empty histogram must not clobber min";
   EXPECT_EQ(a.max(), 200u);
@@ -117,7 +119,7 @@ TEST(HistogramTest, MergePopulatedIntoEmptyAdoptsMin) {
   Histogram b;
   b.record(500);
   b.record(900);
-  a.merge(b);
+  a += b;
   EXPECT_EQ(a.count(), 2u);
   EXPECT_EQ(a.min(), 500u);
   EXPECT_EQ(a.max(), 900u);
@@ -131,14 +133,14 @@ TEST(HistogramTest, MergeEqualCountsKeepsTrueMin) {
   a.record(10);
   Histogram b;
   b.record(99);
-  a.merge(b);
+  a += b;
   EXPECT_EQ(a.min(), 10u);
 
   Histogram c;
   c.record(99);
   Histogram d;
   d.record(10);
-  c.merge(d);
+  c += d;
   EXPECT_EQ(c.min(), 10u);
 }
 
@@ -147,7 +149,7 @@ TEST(HistogramTest, QuantilesAfterMerge) {
   Histogram b;
   for (u64 v = 1; v <= 50; ++v) a.record(v);
   for (u64 v = 51; v <= 100; ++v) b.record(v);
-  a.merge(b);
+  a += b;
   EXPECT_EQ(a.count(), 100u);
   EXPECT_EQ(a.quantile(0.0), 1u);
   EXPECT_EQ(a.quantile(1.0), 100u);  // 100 is exactly representable
@@ -163,6 +165,147 @@ TEST(HistogramTest, SummaryMentionsKeyStats) {
   const std::string s = h.summary();
   EXPECT_NE(s.find("count=100"), std::string::npos);
   EXPECT_NE(s.find("p99="), std::string::npos);
+}
+
+// --- geometry and the quantile error bound ------------------------------
+
+u64 xorshift(u64* s) {
+  *s ^= *s << 13;
+  *s ^= *s >> 7;
+  *s ^= *s << 17;
+  return *s;
+}
+
+// Exact quantile with the same rank convention as Histogram::quantile:
+// the ceil(q * (n-1) + 1)-th smallest value -> index floor(q * (n-1)).
+u64 exact_quantile(std::vector<u64> sorted, double q) {
+  std::sort(sorted.begin(), sorted.end());
+  const auto idx = static_cast<std::size_t>(
+      q * static_cast<double>(sorted.size() - 1));
+  return sorted[idx];
+}
+
+// Records `values` and asserts each quantile is the bucket lower bound of
+// a value close to the exact one: hdr <= exact (lower bounds never
+// overshoot) and hdr >= exact - exact/16 - 1 (bounded relative error).
+void check_distribution(const std::vector<u64>& values, const char* label) {
+  Histogram h;
+  for (const u64 v : values) h.record(v);
+  ASSERT_EQ(h.count(), values.size()) << label;
+  u64 sum = 0;
+  for (const u64 v : values) sum += v;
+  EXPECT_EQ(h.sum, sum) << label;
+  for (const double q : {0.0, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+    const u64 exact = exact_quantile(values, q);
+    const u64 hdr = h.quantile(q);
+    EXPECT_LE(hdr, exact) << label << " q=" << q;
+    EXPECT_GE(hdr + exact / Histogram::kSubBuckets + 1, exact)
+        << label << " q=" << q;
+  }
+}
+
+TEST(HistogramTest, BucketGeometryRoundTrips) {
+  // Values 0..15 are exact; above that the bucket lower bound is within
+  // 1/kSubBuckets of the value, and value_of(index_of(v)) <= v.
+  for (u64 v = 0; v < 16; ++v) {
+    EXPECT_EQ(Histogram::value_of(Histogram::index_of(v)), v);
+  }
+  u64 seed = 99;
+  for (int i = 0; i < 10'000; ++i) {
+    const u64 v = xorshift(&seed) >> (i % 40);
+    const std::size_t idx = Histogram::index_of(v);
+    ASSERT_LT(idx, Histogram::kBuckets);
+    const u64 lo = Histogram::value_of(idx);
+    if (idx + 1 < Histogram::kBuckets &&
+        Histogram::value_of(idx + 1) > lo) {
+      EXPECT_LE(lo, v);
+      EXPECT_GT(Histogram::value_of(idx + 1), v);
+      EXPECT_LE(Histogram::value_of(idx + 1) - lo,
+                lo / Histogram::kSubBuckets + 1);
+    }
+  }
+}
+
+TEST(HistogramTest, QuantileErrorBoundUniform) {
+  std::vector<u64> values;
+  u64 seed = 1;
+  for (int i = 0; i < 20'000; ++i) {
+    values.push_back(xorshift(&seed) % 1'000'000);
+  }
+  check_distribution(values, "uniform");
+}
+
+TEST(HistogramTest, QuantileErrorBoundZipf) {
+  // Heavy-tailed: value ~ 1/rank over 1000 ranks, scaled to microseconds.
+  std::vector<u64> values;
+  u64 seed = 2;
+  for (int i = 0; i < 20'000; ++i) {
+    const u64 r = 1 + xorshift(&seed) % 1'000;
+    values.push_back(50'000'000 / r);
+  }
+  check_distribution(values, "zipf");
+}
+
+TEST(HistogramTest, QuantileErrorBoundBimodal) {
+  // 95% fast path around 8us, 5% slow outliers around 2ms — the shape
+  // whose p99/p999 split the latency observatory exists to expose.
+  std::vector<u64> values;
+  u64 seed = 3;
+  for (int i = 0; i < 20'000; ++i) {
+    if (xorshift(&seed) % 100 < 95) {
+      values.push_back(7'000 + xorshift(&seed) % 2'000);
+    } else {
+      values.push_back(1'900'000 + xorshift(&seed) % 200'000);
+    }
+  }
+  check_distribution(values, "bimodal");
+}
+
+// --- exact vs. bucket-derived extremes ----------------------------------
+
+TEST(HistogramTest, MinMaxExactOnlyWhenRecorded) {
+  Histogram recorded;
+  recorded.record(1'000);
+  recorded.record(50'001);
+  EXPECT_EQ(recorded.min(), 1'000u);
+  EXPECT_EQ(recorded.max(), 50'001u);
+
+  // The same counts set from outside (a snapshot of atomics) only know
+  // their buckets: the extremes are the occupied buckets' lower bounds.
+  Histogram rebuilt;
+  rebuilt.counts = recorded.counts;
+  rebuilt.total = recorded.total;
+  rebuilt.sum = recorded.sum;
+  EXPECT_EQ(rebuilt.min(), Histogram::value_of(Histogram::index_of(1'000)));
+  EXPECT_EQ(rebuilt.max(), Histogram::value_of(Histogram::index_of(50'001)));
+  EXPECT_LT(rebuilt.max(), 50'001u);
+
+  // Merging in a side without exact extremes loses them; merging into an
+  // empty histogram keeps whatever the other side has.
+  Histogram merged = recorded;
+  merged += rebuilt;
+  EXPECT_EQ(merged.max(), rebuilt.max());
+  Histogram empty;
+  empty += recorded;
+  EXPECT_EQ(empty.max(), 50'001u);
+}
+
+TEST(HistogramTest, DeltaSaturatesAndHasBucketExtremes) {
+  Histogram then;
+  then.record(100);
+  then.record(100);
+  Histogram now = then;
+  now.record(70'000);
+  const Histogram d = histogram_delta(now, then);
+  EXPECT_EQ(d.count(), 1u);
+  EXPECT_EQ(d.sum, 70'000u);
+  EXPECT_EQ(d.min(), Histogram::value_of(Histogram::index_of(70'000)));
+  EXPECT_EQ(d.max(), d.min());
+  // A baseline above the current counts (a restarted source) gives zero.
+  const Histogram back = histogram_delta(then, now);
+  EXPECT_EQ(back.count(), 0u);
+  EXPECT_EQ(back.sum, 0u);
+  EXPECT_EQ(back.quantile(0.5), 0u);
 }
 
 }  // namespace

@@ -3,9 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "common/json.hpp"
 #include "telemetry/exporters.hpp"
+#include "telemetry/flow_observatory.hpp"
+#include "telemetry/latency_observatory.hpp"
 #include "telemetry/registry.hpp"
+#include "telemetry/scalability_profiler.hpp"
 
 namespace nfp::telemetry {
 namespace {
@@ -86,6 +93,102 @@ TEST(ExportersTest, JsonEscapesStrings) {
   reg.counter("weird", {{"label", "a\"b\\c"}}).inc();
   const std::string json = to_json(reg);
   EXPECT_NE(json.find("a\\\"b\\\\c"), std::string::npos);
+}
+
+TEST(ExportersTest, ControlCharactersStayValidJson) {
+  // \r and other bytes below 0x20 must be escaped, or JSON readers
+  // (json::Value::parse among them) reject the whole document.
+  const std::string name = "shard\r\x01";
+  const auto parses = [](const std::string& text) {
+    const auto doc = json::Value::parse(text);
+    EXPECT_TRUE(doc.is_ok()) << doc.error() << " in " << text;
+  };
+
+  MetricsRegistry reg;
+  reg.counter("weird", {{"label", name}}).inc();
+  reg.histogram("weird_ns", {{"label", name}}).record(5);
+  parses(to_json(reg));
+
+  ScalabilityProfilerOptions popt;
+  popt.enable_hw = false;
+  ScalabilityProfiler prof(popt);
+  prof.add_shard(name, [] { return ShardScalabilitySnapshot{}; });
+  parses(prof.to_json());
+
+  LatencyObservatory lat;
+  lat.add_shard(name, [] { return ShardLatencySnapshot{}; });
+  parses(lat.to_json());
+
+  FlowObservatory flows;
+  flows.add_shard(name, [] { return ShardFlowSnapshot{}; });
+  parses(flows.to_json());
+}
+
+// The `le="..."} N` tail of every `<name>_bucket` line, in order, then the
+// `_sum` and `_count` values.
+std::vector<std::string> histogram_series(const std::string& text,
+                                          const std::string& name) {
+  std::vector<std::string> out;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(name + "_bucket{", 0) == 0) {
+      out.push_back(line.substr(line.find("le=")));
+    } else if (line.rfind(name + "_sum", 0) == 0 ||
+               line.rfind(name + "_count", 0) == 0) {
+      const std::size_t suffix_end = line.find_first_of("{ ");
+      out.push_back(line.substr(name.size(), suffix_end - name.size()) +
+                    line.substr(line.rfind(' ')));
+    }
+  }
+  return out;
+}
+
+TEST(ExportersTest, OneHistogramWriterForRegistryAndLatency) {
+  const std::vector<std::vector<u64>> cases = {
+      {},                                       // empty: +Inf, sum, count
+      {1, 5, 17, 300, 4'096, 1'000'000},
+      {7, u64{1} << 43, (u64{1} << 50) + 3},   // past the top bucket
+  };
+  for (const std::vector<u64>& samples : cases) {
+    MetricsRegistry reg;
+    Histogram& h = reg.histogram("nfp_latency_ns", {{"shard", "s0"}});
+    StageLatencyBlock block;
+    for (const u64 v : samples) {
+      h.record(v);
+      block.record(LatencyStage::kTotal, v);
+    }
+    LatencyReport rep;
+    rep.shards.push_back({"s0", {}});
+    rep.shards[0].d.stages[static_cast<std::size_t>(LatencyStage::kTotal)] =
+        block.snapshot(LatencyStage::kTotal);
+
+    const std::string total_only = [&] {
+      std::string out;
+      std::istringstream lines(rep.to_prometheus());
+      for (std::string line; std::getline(lines, line);) {
+        if (line.find("stage=\"total\"") != std::string::npos) {
+          out += line + "\n";
+        }
+      }
+      return out;
+    }();
+    const std::vector<std::string> from_registry =
+        histogram_series(to_prometheus(reg), "nfp_latency_ns");
+    EXPECT_EQ(from_registry,
+              histogram_series(total_only, "nfp_latency_ns"));
+    ASSERT_GE(from_registry.size(), 3u);
+    const std::string n = std::to_string(samples.size());
+    EXPECT_EQ(from_registry[from_registry.size() - 3], "le=\"+Inf\"} " + n);
+    EXPECT_EQ(from_registry.back(), "_count " + n);
+  }
+
+  // A value at or past 2^43 ns has no finite boundary above it: only +Inf
+  // counts it.
+  MetricsRegistry reg;
+  reg.histogram("top_ns", {}).record(u64{1} << 43);
+  EXPECT_EQ(histogram_series(to_prometheus(reg), "top_ns"),
+            (std::vector<std::string>{"le=\"+Inf\"} 1",
+                                      "_sum 8796093022208", "_count 1"}));
 }
 
 TEST(ExportersTest, PrometheusEscapesLabelValues) {

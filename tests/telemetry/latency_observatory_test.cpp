@@ -1,6 +1,5 @@
-// Tests for the latency observatory: HDR bucket geometry and the bounded
-// quantile error vs. exact sorted samples (uniform/zipf/bimodal inputs),
-// cross-shard merge associativity, concurrent record/scrape (the TSan
+// Tests for the latency observatory: cross-shard merge associativity of
+// the recording blocks' snapshots, concurrent record/scrape (the TSan
 // workload), the live sharded-dataplane stage decomposition — per-stage
 // sums telescoping to the end-to-end total — and the /latency.json
 // loopback endpoint plus timeseries probes.
@@ -29,8 +28,6 @@ namespace {
 
 using telemetry::HdrSnapshot;
 using telemetry::kLatBuckets;
-using telemetry::kLatencyStageCount;
-using telemetry::kLatSubBuckets;
 using telemetry::LatencyObservatory;
 using telemetry::LatencyReport;
 using telemetry::LatencyStage;
@@ -44,7 +41,7 @@ u64 xorshift(u64* s) {
   return *s;
 }
 
-// Exact quantile with the same rank convention as HdrSnapshot::quantile:
+// Exact quantile with the same rank convention as Histogram::quantile:
 // the ceil(q * (n-1) + 1)-th smallest value -> index floor(q * (n-1)).
 u64 exact_quantile(std::vector<u64> sorted, double q) {
   std::sort(sorted.begin(), sorted.end());
@@ -55,88 +52,15 @@ u64 exact_quantile(std::vector<u64> sorted, double q) {
 
 // Asserts the HDR quantile is the bucket lower bound of a value close to
 // the exact one: hdr <= exact (lower bounds never overshoot) and
-// hdr >= exact - exact/kLatSubBuckets - 1 (bounded relative error).
+// hdr >= exact - exact/16 - 1 (bounded relative error).
 void check_quantile_error(const HdrSnapshot& snap,
                           const std::vector<u64>& values, double q,
                           const char* label) {
   const u64 exact = exact_quantile(values, q);
   const u64 hdr = snap.quantile(q);
   EXPECT_LE(hdr, exact) << label << " q=" << q;
-  EXPECT_GE(hdr + exact / kLatSubBuckets + 1, exact) << label << " q=" << q;
-}
-
-void check_distribution(const std::vector<u64>& values, const char* label) {
-  StageLatencyBlock block;
-  for (const u64 v : values) block.record(LatencyStage::kTotal, v);
-  const HdrSnapshot snap = block.snapshot(LatencyStage::kTotal);
-  ASSERT_EQ(snap.count(), values.size()) << label;
-  u64 sum = 0;
-  for (const u64 v : values) sum += v;
-  EXPECT_EQ(snap.sum, sum) << label;
-  for (const double q : {0.0, 0.5, 0.9, 0.99, 0.999, 1.0}) {
-    check_quantile_error(snap, values, q, label);
-  }
-}
-
-// --- HDR geometry and quantile error bound ------------------------------
-
-TEST(LatencyObservatoryTest, BucketGeometryRoundTrips) {
-  // Values 0..15 are exact; above that the bucket lower bound is within
-  // 1/kLatSubBuckets of the value, and bucket_value(bucket_index(v)) <= v.
-  for (u64 v = 0; v < 16; ++v) {
-    EXPECT_EQ(telemetry::latency_bucket_value(
-                  telemetry::latency_bucket_index(v)),
-              v);
-  }
-  u64 seed = 99;
-  for (int i = 0; i < 10'000; ++i) {
-    const u64 v = xorshift(&seed) >> (i % 40);
-    const std::size_t idx = telemetry::latency_bucket_index(v);
-    ASSERT_LT(idx, kLatBuckets);
-    const u64 lo = telemetry::latency_bucket_value(idx);
-    if (idx + 1 < kLatBuckets &&
-        telemetry::latency_bucket_value(idx + 1) > lo) {
-      EXPECT_LE(lo, v);
-      EXPECT_GT(telemetry::latency_bucket_value(idx + 1), v);
-      EXPECT_LE(telemetry::latency_bucket_value(idx + 1) - lo,
-                lo / kLatSubBuckets + 1);
-    }
-  }
-}
-
-TEST(LatencyObservatoryTest, QuantileErrorBoundUniform) {
-  std::vector<u64> values;
-  u64 seed = 1;
-  for (int i = 0; i < 20'000; ++i) {
-    values.push_back(xorshift(&seed) % 1'000'000);
-  }
-  check_distribution(values, "uniform");
-}
-
-TEST(LatencyObservatoryTest, QuantileErrorBoundZipf) {
-  // Heavy-tailed: value ~ 1/rank over 1000 ranks, scaled to microseconds.
-  std::vector<u64> values;
-  u64 seed = 2;
-  for (int i = 0; i < 20'000; ++i) {
-    const u64 r = 1 + xorshift(&seed) % 1'000;
-    values.push_back(50'000'000 / r);
-  }
-  check_distribution(values, "zipf");
-}
-
-TEST(LatencyObservatoryTest, QuantileErrorBoundBimodal) {
-  // 95% fast path around 8us, 5% slow outliers around 2ms — the shape
-  // whose p99/p999 split the observatory exists to expose.
-  std::vector<u64> values;
-  u64 seed = 3;
-  for (int i = 0; i < 20'000; ++i) {
-    if (xorshift(&seed) % 100 < 95) {
-      values.push_back(7'000 + xorshift(&seed) % 2'000);
-    } else {
-      values.push_back(1'900'000 + xorshift(&seed) % 200'000);
-    }
-  }
-  check_distribution(values, "bimodal");
+  EXPECT_GE(hdr + exact / Histogram::kSubBuckets + 1, exact)
+      << label << " q=" << q;
 }
 
 // --- merge semantics ----------------------------------------------------
@@ -194,25 +118,21 @@ TEST(LatencyObservatoryTest, DeltaSubtractsBaseline) {
   const HdrSnapshot baseline = block.snapshot(LatencyStage::kTotal);
   block.record(LatencyStage::kTotal, 300'000);
   const HdrSnapshot now = block.snapshot(LatencyStage::kTotal);
-  const HdrSnapshot d = telemetry::hdr_delta(now, baseline);
+  const HdrSnapshot d = histogram_delta(now, baseline);
   EXPECT_EQ(d.count(), 1u);
   EXPECT_EQ(d.sum, 300'000u);
   EXPECT_LE(d.quantile(0.5), 300'000u);
-  EXPECT_GE(d.quantile(0.5), 300'000u - 300'000u / kLatSubBuckets - 1);
+  EXPECT_GE(d.quantile(0.5), 300'000u - 300'000u / Histogram::kSubBuckets - 1);
 }
 
 // --- concurrent record/scrape (TSan workload) ---------------------------
 
 TEST(LatencyObservatoryTest, ConcurrentRecordAndScrape) {
   auto block = std::make_shared<StageLatencyBlock>();
-  LatencyObservatory::Options options;
-  options.sample_every = 1;
-  LatencyObservatory obs(options);
+  LatencyObservatory obs;
   obs.add_shard("shard0", [block] {
     ShardLatencySnapshot snap;
-    for (std::size_t i = 0; i < kLatencyStageCount; ++i) {
-      snap.stages[i] += block->snapshot(static_cast<LatencyStage>(i));
-    }
+    snap.add(*block);
     return snap;
   });
   obs.reset_baseline();
@@ -287,9 +207,7 @@ LatencyReport run_live(const ServiceGraph& graph, std::size_t packets) {
   opts.pipeline.latency_sample_every = 1;
   ShardedDataplane dp({graph}, {}, opts);
 
-  LatencyObservatory::Options lat_options;
-  lat_options.sample_every = 1;
-  LatencyObservatory obs(lat_options);
+  LatencyObservatory obs;
   dp.register_latency(obs);
   EXPECT_EQ(obs.shard_count(), 2u);
 
@@ -398,6 +316,25 @@ TEST(LatencyObservatoryTest, ReportJsonAndPrometheusShapes) {
   EXPECT_NE(text.find("p99.9us"), std::string::npos);
 }
 
+TEST(LatencyObservatoryTest, ReportsThePlanesSampleRate) {
+  // The rate comes from the plane that samples, not from an observatory
+  // option that could disagree with it.
+  ShardedDataplaneOptions opts;
+  opts.shards = 2;
+  opts.pipeline.latency_sample_every = 4;
+  ShardedDataplane dp(
+      {ServiceGraph::sequential("chain", {"monitor"})}, {}, opts);
+  LatencyObservatory obs;
+  dp.register_latency(obs);
+  ASSERT_TRUE(dp.start().is_ok());
+  obs.reset_baseline();
+
+  const auto doc = json::Value::parse(obs.to_json());
+  ASSERT_TRUE(doc.is_ok()) << doc.error();
+  EXPECT_EQ(doc.value().number_or("sample_every", -1), 4.0);
+  EXPECT_TRUE(dp.drain().status.is_ok());
+}
+
 TEST(LatencyObservatoryTest, ServesLatencyJsonOverLoopback) {
   const auto frames = make_flow_frames(500, 8);
   ShardedDataplaneOptions opts;
@@ -406,9 +343,7 @@ TEST(LatencyObservatoryTest, ServesLatencyJsonOverLoopback) {
   ShardedDataplane dp(
       {ServiceGraph::sequential("chain", {"monitor"})}, {}, opts);
 
-  LatencyObservatory::Options lat_options;
-  lat_options.sample_every = 1;
-  LatencyObservatory obs(lat_options);
+  LatencyObservatory obs;
   dp.register_latency(obs);
   ASSERT_TRUE(dp.start().is_ok());
   obs.reset_baseline();
@@ -444,9 +379,7 @@ TEST(LatencyObservatoryTest, RegistersTimeseriesProbes) {
   LatencyObservatory obs;
   obs.add_shard("shard0", [block] {
     ShardLatencySnapshot snap;
-    for (std::size_t i = 0; i < kLatencyStageCount; ++i) {
-      snap.stages[i] += block->snapshot(static_cast<LatencyStage>(i));
-    }
+    snap.add(*block);
     snap.queue_depth = 5;
     return snap;
   });
