@@ -8,7 +8,6 @@
 #include "dataplane/live_classifier.hpp"
 #include "dataplane/merge_ops.hpp"
 #include "dataplane/merge_table.hpp"
-#include "dataplane/rtc_executor.hpp"
 #include "packet/packet_view.hpp"
 #include "ring/backoff.hpp"
 #include "telemetry/health_sampler.hpp"
@@ -17,6 +16,32 @@ namespace nfp {
 
 namespace {
 inline u64 sat_sub(u64 a, u64 b) noexcept { return a >= b ? a - b : 0; }
+
+// Closes the latency span open since lat.mark_ns into `span` (one of the
+// packet's own stage fields) and opens the next one now.
+inline void close_span(LatencyStamps& lat, u64& span) noexcept {
+  const u64 now = telemetry::mono_now_ns();
+  span += sat_sub(now, lat.mark_ns);
+  lat.mark_ns = now;
+}
+
+// Runs `nf` on `pkt`; a frame that does not parse passes untouched.
+inline bool nf_drops(NetworkFunction& nf, Packet& pkt) {
+  PacketView view(pkt);
+  return view.valid() && nf.process(view) == NfVerdict::kDrop;
+}
+
+// One sequential hop: the running thread owns `pkt`, so a sampled packet's
+// telescoping marks live on the packet itself — queue = mark -> pre-process
+// clock (including in-burst head-of-line time), service = the process span.
+inline bool hop_drops(NetworkFunction& nf, Packet& pkt) {
+  LatencyStamps& lat = pkt.lat();
+  const bool sampled = lat.origin_ns != 0;
+  if (sampled) close_span(lat, lat.queue_ns);
+  const bool drop = nf_drops(nf, pkt);
+  if (sampled) close_span(lat, lat.service_ns);
+  return drop;
+}
 }  // namespace
 
 const char* exec_mode_name(ExecMode mode) noexcept {
@@ -65,16 +90,12 @@ LivePipeline::LivePipeline(
     opts_.exec_mode = graph_.is_sequential() ? ExecMode::kRtc
                                              : ExecMode::kPipelined;
   }
-  if (opts_.exec_mode == ExecMode::kRtc) {
-    rtc_ = std::make_unique<RtcExecutor>(graph_, factory, opts_, pool_,
-                                         &mag_refill_total_,
-                                         &mag_flush_total_);
-    return;
-  }
   // Pinned, every pipeline thread and the feeding shard worker share one
   // core: a waiter must get off it before the peer it waits on can run.
-  if (opts_.pin_core >= 0) wait_policy_ = WaitPolicy::kSharedCore;
+  const bool threaded = pipelined();
+  if (threaded && opts_.pin_core >= 0) wait_policy_ = WaitPolicy::kSharedCore;
 
+  std::size_t widest = 0;
   int instance = 0;
   for (Segment& seg : graph_.segments()) {
     std::vector<LiveNf> nfs;
@@ -87,35 +108,34 @@ LivePipeline::LivePipeline(
                               meta.name,
                               static_cast<u64>(meta.instance_id) + 1);
       if (nf.impl == nullptr) nf.impl = make_builtin_nf("monitor");
-      nf.in = std::make_unique<SpscRing<Packet*>>(opts_.ring_depth);
-      nf.out = std::make_unique<SpscRing<MergeEnvelope>>(opts_.ring_depth);
-      nf.heartbeat_ns = std::make_unique<std::atomic<u64>>(0);
-      nf.processed = std::make_unique<std::atomic<u64>>(0);
+      nf.stage = (threaded ? "nf:" : "rtc:") + meta.name + "#" +
+                 std::to_string(meta.instance_id);
+      if (threaded) {
+        nf.worker = std::make_unique<NfWorker>(opts_.ring_depth);
+        if (opts_.cycle_accounting) {
+          nf.worker->cycles = std::make_unique<telemetry::CycleCounters>();
+        }
+        if (opts_.latency_sample_every > 0) {
+          nf.worker->lat_block =
+              std::make_unique<telemetry::StageLatencyBlock>();
+        }
+      }
       nfs.push_back(std::move(nf));
     }
+    widest = std::max(widest, nfs.size());
     segments_.push_back(std::move(nfs));
     // Fanout plan: resolve the segment's copy list and reference counts
-    // once (fanout_plan.hpp, shared with RtcExecutor), instead of a
-    // vector + count_if per packet in enter_segment.
+    // once, instead of a vector + count_if per packet.
     fanout_.push_back(build_fanout_plan(seg));
   }
-  if (opts_.cycle_accounting) {
-    for (auto& seg : segments_) {
-      for (LiveNf& nf : seg) {
-        nf.cycles = std::make_unique<telemetry::CycleCounters>();
-      }
-    }
+  if (threaded && opts_.cycle_accounting) {
     merger_cycles_ = std::make_unique<telemetry::CycleCounters>();
     feeder_cycles_ = std::make_unique<telemetry::CycleCounters>();
   }
   if (opts_.latency_sample_every > 0) {
-    for (auto& seg : segments_) {
-      for (LiveNf& nf : seg) {
-        nf.lat_block = std::make_unique<telemetry::StageLatencyBlock>();
-      }
-    }
-    merger_lat_block_ = std::make_unique<telemetry::StageLatencyBlock>();
+    lat_block_ = std::make_unique<telemetry::StageLatencyBlock>();
   }
+  if (!threaded) fused_arrivals_.reserve(widest);
 }
 
 void LivePipeline::finalize_latency(const Packet& pkt,
@@ -131,7 +151,9 @@ void LivePipeline::finalize_latency(const Packet& pkt,
   block->record(telemetry::LatencyStage::kService, lat.service_ns);
   // merge_wait only counts packets that actually crossed a merge point:
   // a purely sequential path contributes no sample rather than a zero,
-  // so the stage's count doubles as "packets merged" in reports.
+  // so the stage's count doubles as "packets merged" in reports. A fused
+  // rtc merge has no cross-thread wait and never bumps lat.merges, so the
+  // stage stays empty in rtc.
   if (lat.merges != 0) {
     block->record(telemetry::LatencyStage::kMergeWait, lat.merge_ns);
   }
@@ -139,11 +161,15 @@ void LivePipeline::finalize_latency(const Packet& pkt,
   block->record(telemetry::LatencyStage::kTotal, total);
 }
 
-LivePipeline::~LivePipeline() {
+LivePipeline::~LivePipeline() { stop_workers(); }
+
+void LivePipeline::stop_workers() {
   stop_.store(true, std::memory_order_release);
   for (auto& seg : segments_) {
     for (auto& nf : seg) {
-      if (nf.thread.joinable()) nf.thread.join();
+      if (nf.worker != nullptr && nf.worker->thread.joinable()) {
+        nf.worker->thread.join();
+      }
     }
   }
   if (merger_thread_.joinable()) merger_thread_.join();
@@ -165,37 +191,20 @@ void LivePipeline::maybe_pin_current_thread() {
 bool LivePipeline::enter_segment(std::size_t seg_idx, Packet* pkt,
                                  PacketMagazine& mag,
                                  telemetry::CycleAccountant* acct) {
-  const Segment& seg = graph_.segments()[seg_idx];
   const FanoutPlan& plan = fanout_[seg_idx];
   auto& nfs = segments_[seg_idx];
-  pkt->meta().set_mid(seg.mid);
-  pkt->meta().set_version(1);
-  pkt->set_nil(false);
-
-  std::array<Packet*, Metadata::kMaxVersion + 2> version_pkt{};
-  version_pkt[1] = pkt;
-  for (const FanoutPlan::Copy& c : plan.copies) {
-    Packet* copy = c.full ? mag.clone_full(*pkt) : mag.clone_header_only(*pkt);
-    if (copy == nullptr) {
-      for (const FanoutPlan::Copy& made : plan.copies) {
-        if (made.version == c.version) break;
-        mag.release(version_pkt[made.version]);
-      }
-      // The original stays with the caller: it still carries the FlowRef
-      // the drop exemplar needs, so the caller tags the reason first and
-      // releases it after.
-      return false;
-    }
-    copy->meta().set_version(c.version);
-    copy->set_nil(false);
-    version_pkt[c.version] = copy;
+  VersionPackets versions{};
+  if (!fan_out(graph_.segments()[seg_idx], plan, pkt, mag, versions)) {
+    return false;
   }
+  // Every consuming NF thread releases the version it took.
   for (std::size_t v = 1; v < plan.extra_refs.size(); ++v) {
-    for (u32 r = 0; r < plan.extra_refs[v]; ++r) mag.add_ref(version_pkt[v]);
+    for (u32 r = 0; r < plan.extra_refs[v]; ++r) mag.add_ref(versions[v]);
   }
   for (std::size_t k = 0; k < nfs.size(); ++k) {
-    Packet* version = version_pkt[plan.nf_version[k]];
-    if (nfs[k].in->push(version)) continue;
+    Packet* version = versions[plan.nf_version[k]];
+    SpscRing<Packet*>& in = nfs[k].worker->in;
+    if (in.push(version)) continue;
     // Contended: the consumer NF is behind. Timestamps only on this slow
     // path; the span is carved out of the caller's current lap.
     const bool timed = acct != nullptr && acct->enabled();
@@ -203,7 +212,7 @@ bool LivePipeline::enter_segment(std::size_t seg_idx, Packet* pkt,
     Backoff backoff(wait_policy_);
     do {
       backoff.pause();
-    } while (!nfs[k].in->push(version));
+    } while (!in.push(version));
     if (timed) {
       acct->carve(telemetry::CycleBucket::kRingWait,
                   telemetry::mono_now_ns() - t0);
@@ -226,10 +235,11 @@ void LivePipeline::commit_batch(std::vector<std::vector<u8>>& outputs,
   if (!outputs.empty() || drops > 0) {
     const std::scoped_lock lock(result_mu_);
     for (auto& frame : outputs) result_.outputs.push_back(std::move(frame));
-    result_.dropped += drops;
+    delivered_.add(outputs.size());
+    dropped_.add(drops);
   }
   outputs.clear();
-  // After the results are visible: run() treats in_flight_ == 0 as "all
+  // After the results are visible: drain() treats in_flight_ == 0 as "all
   // packets accounted for", so the decrement must come last.
   if (completed > 0) {
     in_flight_.fetch_sub(completed, std::memory_order_acq_rel);
@@ -240,11 +250,10 @@ void LivePipeline::nf_loop(std::size_t seg_idx, std::size_t nf_idx) {
   maybe_pin_current_thread();
   const Segment& seg = graph_.segments()[seg_idx];
   LiveNf& self = segments_[seg_idx][nf_idx];
+  NfWorker& w = *self.worker;
   const bool parallel = seg.is_parallel();
   const bool last_segment = seg_idx + 1 == graph_.segments().size();
   const std::size_t burst = opts_.burst_size;
-  const std::string stage_name =
-      "nf:" + self.meta.name + "#" + std::to_string(self.meta.instance_id);
 
   PacketMagazine mag = make_magazine();
   std::vector<Packet*> in_burst(burst);
@@ -257,13 +266,13 @@ void LivePipeline::nf_loop(std::size_t seg_idx, std::size_t nf_idx) {
   // already pays: `beat` closes the previous interval and opens the next,
   // so every iteration's wall time lands in exactly one bucket.
   u64 beat = telemetry::mono_now_ns();
-  telemetry::CycleAccountant acct(self.cycles.get(), beat);
+  telemetry::CycleAccountant acct(w.cycles.get(), beat);
 
   for (;;) {
     // Beat on every iteration, busy or idle: an idle-but-responsive worker
     // keeps beating, one wedged inside process() stops.
-    self.heartbeat_ns->store(beat, std::memory_order_relaxed);
-    const std::size_t n = self.in->pop_burst({in_burst.data(), burst});
+    w.heartbeat_ns.store(beat, std::memory_order_relaxed);
+    const std::size_t n = w.in.pop_burst({in_burst.data(), burst});
     if (n == 0) {
       if (stop_.load(std::memory_order_acquire)) return;
       idle.pause();
@@ -272,7 +281,7 @@ void LivePipeline::nf_loop(std::size_t seg_idx, std::size_t nf_idx) {
       continue;
     }
     idle.reset();
-    self.processed->fetch_add(n, std::memory_order_relaxed);
+    w.processed.fetch_add(n, std::memory_order_relaxed);
 
     if (parallel) {
       // Nil-packet mechanism (§5.2): the drop intention travels to the
@@ -286,10 +295,7 @@ void LivePipeline::nf_loop(std::size_t seg_idx, std::size_t nf_idx) {
         // read-only here (same rule as drop_intent).
         const bool sampled = pkt->lat().origin_ns != 0;
         const u64 t0 = sampled ? telemetry::mono_now_ns() : 0;
-        PacketView view(*pkt);
-        NfVerdict verdict = NfVerdict::kPass;
-        if (view.valid()) verdict = self.impl->process(view);
-        MergeEnvelope env{pkt, verdict == NfVerdict::kDrop};
+        MergeEnvelope env{pkt, nf_drops(*self.impl, *pkt)};
         if (sampled) {
           const u64 t1 = telemetry::mono_now_ns();
           env.queue_ns = sat_sub(t0, pkt->lat().mark_ns);
@@ -302,8 +308,8 @@ void LivePipeline::nf_loop(std::size_t seg_idx, std::size_t nf_idx) {
       Backoff backoff(wait_policy_);
       u64 wait_start = 0;
       while (sent < n) {
-        const std::size_t m = self.out->push_burst(
-            {envelopes.data() + sent, n - sent});
+        const std::size_t m =
+            w.out.push_burst({envelopes.data() + sent, n - sent});
         if (m == 0) {
           if (acct.enabled() && wait_start == 0) {
             wait_start = telemetry::mono_now_ns();
@@ -328,27 +334,8 @@ void LivePipeline::nf_loop(std::size_t seg_idx, std::size_t nf_idx) {
     u64 completed = 0;
     for (std::size_t i = 0; i < n; ++i) {
       Packet* pkt = in_burst[i];
-      // Sequential hop: this thread owns the packet, so the telescoping
-      // marks live on the packet itself. queue = mark -> pre-process clock
-      // (includes in-burst head-of-line time), service = the process span.
-      const bool sampled = pkt->lat().origin_ns != 0;
-      u64 t1 = 0;
-      if (sampled) {
-        const u64 t0 = telemetry::mono_now_ns();
-        pkt->lat().queue_ns += sat_sub(t0, pkt->lat().mark_ns);
-        pkt->lat().mark_ns = t0;
-      }
-      PacketView view(*pkt);
-      NfVerdict verdict = NfVerdict::kPass;
-      if (view.valid()) verdict = self.impl->process(view);
-      if (sampled) {
-        t1 = telemetry::mono_now_ns();
-        pkt->lat().service_ns += sat_sub(t1, pkt->lat().mark_ns);
-        pkt->lat().mark_ns = t1;
-      }
-
-      if (verdict == NfVerdict::kDrop) {
-        note_drop(telemetry::DropReason::kNfVerdict, stage_name.c_str(),
+      if (hop_drops(*self.impl, *pkt)) {
+        note_drop(telemetry::DropReason::kNfVerdict, self.stage.c_str(),
                   &pkt->flow());
         mag.release(pkt);
         ++drops;
@@ -357,13 +344,13 @@ void LivePipeline::nf_loop(std::size_t seg_idx, std::size_t nf_idx) {
       }
       if (last_segment) {
         out_batch.emplace_back(pkt->data(), pkt->data() + pkt->length());
-        if (sampled) finalize_latency(*pkt, self.lat_block.get(), t1);
+        finalize_latency(*pkt, w.lat_block.get(), pkt->lat().mark_ns);
         mag.release(pkt);
         ++completed;
         continue;
       }
       if (!enter_segment(seg_idx + 1, pkt, mag, &acct)) {
-        note_drop(telemetry::DropReason::kPoolExhausted, stage_name.c_str(),
+        note_drop(telemetry::DropReason::kPoolExhausted, self.stage.c_str(),
                   &pkt->flow());
         mag.release(pkt);
         ++drops;
@@ -392,7 +379,6 @@ void LivePipeline::merger_loop() {
   }
 
   std::vector<MergeEnvelope> burst_buf(burst);
-  std::vector<std::pair<Packet*, u8>> pairs;
   std::vector<std::vector<u8>> out_batch;
   Backoff idle_backoff(wait_policy_);
 
@@ -411,7 +397,8 @@ void LivePipeline::merger_loop() {
       for (std::size_t k = 0; k < segments_[s].size(); ++k) {
         LiveNf& nf = segments_[s][k];
         std::size_t n;
-        while ((n = nf.out->pop_burst({burst_buf.data(), burst})) > 0) {
+        while ((n = nf.worker->out.pop_burst({burst_buf.data(), burst})) >
+               0) {
           idle = false;
           for (std::size_t i = 0; i < n; ++i) {
             const MergeEnvelope& env = burst_buf[i];
@@ -423,28 +410,7 @@ void LivePipeline::merger_loop() {
             if (done.empty()) continue;
             merger_merges_.fetch_add(1, std::memory_order_relaxed);
 
-            // Complete: resolve drops, merge, forward.
-            bool dropped = false;
-            if (seg.merge.drop_resolution == DropResolution::kAnyDrop) {
-              for (const MergeArrival& a : done) dropped |= a.drop_intent;
-            } else {
-              i32 best = -1;
-              for (const MergeArrival& a : done) {
-                if (a.can_drop && a.priority > best) {
-                  best = a.priority;
-                  dropped = a.drop_intent;
-                }
-              }
-            }
-
-            Packet* merged = nullptr;
-            if (!dropped) {
-              pairs.clear();
-              for (const MergeArrival& a : done) {
-                pairs.emplace_back(a.pkt, a.version);
-              }
-              merged = apply_merge_operations(seg, pairs);
-            }
+            Packet* merged = resolve_merge(seg, done);
             // Critical-branch latency combining: the arrival whose out-push
             // completed the set defines the segment's span. Its queue /
             // service accumulate onto the survivor and merge-wait is the
@@ -485,13 +451,11 @@ void LivePipeline::merger_loop() {
             } else if (s + 1 == segments_.size()) {
               out_batch.emplace_back(merged->data(),
                                      merged->data() + merged->length());
-              finalize_latency(*merged, merger_lat_block_.get(),
+              finalize_latency(*merged, lat_block_.get(),
                                merged->lat().mark_ns);
-              merged->set_nil(false);
               mag.release(merged);
               ++completed;
             } else {
-              merged->set_nil(false);
               if (!enter_segment(s + 1, merged, mag, &acct)) {
                 note_drop(telemetry::DropReason::kPoolExhausted, "merger",
                           &merged->flow());
@@ -525,21 +489,15 @@ void LivePipeline::merger_loop() {
 }
 
 NetworkFunction* LivePipeline::nf(std::size_t segment, std::size_t index) {
-  if (rtc_ != nullptr) return rtc_->nf(segment, index);
   return segments_.at(segment).at(index).impl.get();
 }
 
 u64 LivePipeline::dropped_by(telemetry::DropReason reason) const {
-  if (rtc_ != nullptr) return rtc_->dropped_by(reason);
   return drop_reasons_[static_cast<std::size_t>(reason)].load(
       std::memory_order_relaxed);
 }
 
 void LivePipeline::set_drop_exemplar_ring(telemetry::DropExemplarRing* ring) {
-  if (rtc_ != nullptr) {
-    rtc_->set_drop_exemplar_ring(ring);
-    return;
-  }
   drop_exemplars_ = ring;
 }
 
@@ -554,10 +512,7 @@ const LivePipeline::LiveNf* LivePipeline::worker_nf(std::size_t w) const {
 }
 
 std::size_t LivePipeline::worker_count() const {
-  // RTC mode spawns no threads: there is nothing to heartbeat-watch here
-  // (in the sharded dataplane the shard worker's own heartbeat covers the
-  // inline execution).
-  if (rtc_ != nullptr) return 0;
+  if (!pipelined()) return 0;
   std::size_t n = 0;
   for (const auto& seg : segments_) n += seg.size();
   return n + 1;  // + merger
@@ -565,8 +520,7 @@ std::size_t LivePipeline::worker_count() const {
 
 std::string LivePipeline::worker_name(std::size_t w) const {
   const LiveNf* nf = worker_nf(w);
-  if (nf == nullptr) return "merger";
-  return "nf:" + nf->meta.name + "#" + std::to_string(nf->meta.instance_id);
+  return nf == nullptr ? "merger" : nf->stage;
 }
 
 u64 LivePipeline::worker_heartbeat_ns(std::size_t w) const {
@@ -574,52 +528,45 @@ u64 LivePipeline::worker_heartbeat_ns(std::size_t w) const {
   if (nf == nullptr) {
     return merger_heartbeat_ns_.load(std::memory_order_relaxed);
   }
-  return nf->heartbeat_ns->load(std::memory_order_relaxed);
+  return nf->worker->heartbeat_ns.load(std::memory_order_relaxed);
 }
 
 u64 LivePipeline::worker_packets(std::size_t w) const {
   const LiveNf* nf = worker_nf(w);
   if (nf == nullptr) return merger_merges_.load(std::memory_order_relaxed);
-  return nf->processed->load(std::memory_order_relaxed);
+  return nf->worker->processed.load(std::memory_order_relaxed);
 }
 
 std::size_t LivePipeline::ring_depth_in(std::size_t w) const {
   const LiveNf* nf = worker_nf(w);
-  return nf == nullptr ? 0 : nf->in->size();
+  return nf == nullptr ? 0 : nf->worker->in.size();
 }
 
 std::size_t LivePipeline::ring_depth_out(std::size_t w) const {
   const LiveNf* nf = worker_nf(w);
-  return nf == nullptr ? 0 : nf->out->size();
+  return nf == nullptr ? 0 : nf->worker->out.size();
 }
 
-u64 LivePipeline::dropped_so_far() {
-  if (rtc_ != nullptr) return rtc_->dropped_so_far();
-  const std::scoped_lock lock(result_mu_);
-  return result_.dropped;
-}
-
-u64 LivePipeline::delivered_so_far() {
-  if (rtc_ != nullptr) return rtc_->delivered_so_far();
-  const std::scoped_lock lock(result_mu_);
-  return result_.outputs.size();
-}
-
-telemetry::ShardScalabilitySnapshot LivePipeline::scalability_snapshot() {
-  if (rtc_ != nullptr) return rtc_->scalability_snapshot();
+telemetry::ShardScalabilitySnapshot LivePipeline::scalability_snapshot()
+    const {
   telemetry::ShardScalabilitySnapshot snap;
   auto fold = [&snap](const telemetry::CycleCounters* cycles) {
     if (cycles != nullptr) snap.add(*cycles);
   };
-  for (const auto& seg : segments_) {
-    for (const LiveNf& nf : seg) {
-      fold(nf.cycles.get());
-      snap.ring_full_events += nf.in->full_events() + nf.out->full_events();
-      ++snap.threads;
+  // Rtc has no threads, rings or merger: its cycles are its caller's
+  // useful time, so only the pool evidence and progress counters report.
+  if (pipelined()) {
+    for (const auto& seg : segments_) {
+      for (const LiveNf& nf : seg) {
+        fold(nf.worker->cycles.get());
+        snap.ring_full_events +=
+            nf.worker->in.full_events() + nf.worker->out.full_events();
+        ++snap.threads;
+      }
     }
+    fold(merger_cycles_.get());
+    ++snap.threads;  // merger
   }
-  fold(merger_cycles_.get());
-  ++snap.threads;  // merger
   // The feeder is the caller's thread, not a pipeline thread: its waits
   // count, its useful time belongs to the caller.
   fold(feeder_cycles_.get());
@@ -631,23 +578,21 @@ telemetry::ShardScalabilitySnapshot LivePipeline::scalability_snapshot() {
 }
 
 telemetry::ShardLatencySnapshot LivePipeline::latency_snapshot() const {
-  if (rtc_ != nullptr) return rtc_->latency_snapshot();
   telemetry::ShardLatencySnapshot snap;
-  auto fold = [&snap](const telemetry::StageLatencyBlock* block) {
-    if (block != nullptr) snap.add(*block);
-  };
-  for (const auto& seg : segments_) {
-    for (const LiveNf& nf : seg) {
-      fold(nf.lat_block.get());
-      snap.queue_depth += static_cast<double>(nf.in->size() + nf.out->size());
+  if (pipelined()) {
+    for (const auto& seg : segments_) {
+      for (const LiveNf& nf : seg) {
+        if (nf.worker->lat_block != nullptr) snap.add(*nf.worker->lat_block);
+        snap.queue_depth +=
+            static_cast<double>(nf.worker->in.size() + nf.worker->out.size());
+      }
     }
   }
-  fold(merger_lat_block_.get());
+  if (lat_block_ != nullptr) snap.add(*lat_block_);
   return snap;
 }
 
 u64 LivePipeline::feeder_wait_ns() const {
-  if (rtc_ != nullptr) return rtc_->feeder_wait_ns();
   if (feeder_cycles_ == nullptr) return 0;
   u64 total = 0;
   for (std::size_t b = 0; b < telemetry::kCycleBucketCount; ++b) {
@@ -713,7 +658,6 @@ void LivePipeline::register_health(telemetry::HealthSampler& sampler,
 }
 
 Status LivePipeline::start() {
-  if (rtc_ != nullptr) return rtc_->start();
   RunState expected = RunState::kNew;
   if (!state_.compare_exchange_strong(expected, RunState::kRunning,
                                       std::memory_order_acq_rel)) {
@@ -723,9 +667,10 @@ Status LivePipeline::start() {
   }
   feeder_mag_ = std::make_unique<PacketMagazine>(
       pool_, opts_.magazine_size, &mag_refill_total_, &mag_flush_total_);
+  if (!pipelined()) return Status::ok();
   for (std::size_t s = 0; s < segments_.size(); ++s) {
     for (std::size_t k = 0; k < segments_[s].size(); ++k) {
-      segments_[s][k].thread =
+      segments_[s][k].worker->thread =
           std::thread([this, s, k] { nf_loop(s, k); });
     }
   }
@@ -734,7 +679,6 @@ Status LivePipeline::start() {
 }
 
 bool LivePipeline::feed(std::span<const u8> frame) {
-  if (rtc_ != nullptr) return rtc_->feed(frame);
   // Standalone sampling: no flow hash at this layer, so sample by pid.
   u64 origin = 0;
   if (opts_.latency_sample_every != 0 &&
@@ -744,16 +688,47 @@ bool LivePipeline::feed(std::span<const u8> frame) {
   return feed_stamped(frame, origin);
 }
 
+void LivePipeline::admit(Packet* pkt, std::span<const u8> frame,
+                         u64 origin_ns, const FlowRef* flow) {
+  std::memcpy(pkt->data(), frame.data(), frame.size());
+  pkt->meta().set_pid(next_pid_++ & Metadata::kMaxPid);
+  if (flow != nullptr) pkt->flow() = *flow;
+  if (origin_ns != 0) {
+    // Ingest closes here: origin -> ready-to-run covers the caller's spans
+    // (director pool/ring/classify) plus, pipelined, this feed's window +
+    // alloc backpressure. The mark opens the first queue span.
+    const u64 now = telemetry::mono_now_ns();
+    LatencyStamps& lat = pkt->lat();
+    lat.origin_ns = origin_ns;
+    lat.ingest_ns = sat_sub(now, origin_ns);
+    lat.mark_ns = now;
+  }
+}
+
 bool LivePipeline::feed_stamped(std::span<const u8> frame, u64 origin_ns,
                                 const FlowRef* flow) {
-  if (rtc_ != nullptr) return rtc_->feed_stamped(frame, origin_ns, flow);
   if (state_.load(std::memory_order_acquire) != RunState::kRunning) {
     return false;
   }
-  // No recording blocks (latency_sample_every == 0) means nowhere to land
+  // No recording block (latency_sample_every == 0) means nowhere to land
   // the sample — drop the stamp rather than half-instrument the packet.
-  if (merger_lat_block_ == nullptr) origin_ns = 0;
+  if (lat_block_ == nullptr) origin_ns = 0;
   PacketMagazine& mag = *feeder_mag_;
+  if (!pipelined()) {
+    Packet* pkt = mag.alloc(frame.size());
+    if (pkt == nullptr) {
+      // Run to completion holds at most (1 + fanout copies) slots and this
+      // is the only allocating thread, so a dry pool is a sizing error, not
+      // transient backpressure: tail-drop instead of waiting forever.
+      note_drop(telemetry::DropReason::kPoolExhausted, "rtc:feeder", flow);
+      dropped_.increment();
+      return false;
+    }
+    admit(pkt, frame, origin_ns, flow);
+    run_to_completion(pkt);
+    return true;
+  }
+
   telemetry::CycleAccountant facct(feeder_cycles_.get(), 0);
   // Window full means downstream (rings/merger) has not retired packets
   // fast enough — ingest backpressure, timed only when actually contended.
@@ -785,19 +760,7 @@ bool LivePipeline::feed_stamped(std::span<const u8> frame, u64 origin_ns,
                                    std::memory_order_relaxed);
     }
   }
-  std::memcpy(pkt->data(), frame.data(), frame.size());
-  pkt->meta().set_pid(next_pid_++ & Metadata::kMaxPid);
-  if (flow != nullptr) pkt->flow() = *flow;
-  if (origin_ns != 0) {
-    // Ingest closes here: origin -> ready-to-enqueue covers the caller's
-    // spans (director pool/ring/classify) plus this feed's window + alloc
-    // backpressure. The mark opens the first queue span.
-    const u64 now = telemetry::mono_now_ns();
-    LatencyStamps& lat = pkt->lat();
-    lat.origin_ns = origin_ns;
-    lat.ingest_ns = sat_sub(now, origin_ns);
-    lat.mark_ns = now;
-  }
+  admit(pkt, frame, origin_ns, flow);
   in_flight_.fetch_add(1, std::memory_order_acq_rel);
   if (!enter_segment(0, pkt, mag, &facct)) {
     // Standalone feeds have no caller-parsed FlowRef; parse it here — the
@@ -811,38 +774,109 @@ bool LivePipeline::feed_stamped(std::span<const u8> frame, u64 origin_ns,
     }
     note_drop(telemetry::DropReason::kPoolExhausted, "feeder", &pkt->flow());
     mag.release(pkt);
-    const std::scoped_lock lock(result_mu_);
-    ++result_.dropped;
+    {
+      const std::scoped_lock lock(result_mu_);
+      dropped_.increment();
+    }
     in_flight_.fetch_sub(1, std::memory_order_acq_rel);
     return false;
   }
   return true;
 }
 
+void LivePipeline::drop_fused(Packet* pkt, telemetry::DropReason reason,
+                              const char* stage) {
+  note_drop(reason, stage, &pkt->flow());
+  feeder_mag_->release(pkt);
+  dropped_.increment();
+}
+
+Packet* LivePipeline::run_fused_segment(std::size_t seg_idx, Packet* pkt) {
+  const Segment& seg = graph_.segments()[seg_idx];
+  const FanoutPlan& plan = fanout_[seg_idx];
+  auto& nfs = segments_[seg_idx];
+  VersionPackets versions{};
+  if (!fan_out(seg, plan, pkt, *feeder_mag_, versions)) {
+    drop_fused(pkt, telemetry::DropReason::kPoolExhausted, "rtc:fanout");
+    return nullptr;
+  }
+  // No extra references, unlike enter_segment: the branches run one after
+  // another on this thread, so each distinct version is released exactly
+  // once after the merge.
+  LatencyStamps& lat = pkt->lat();
+  const bool sampled = lat.origin_ns != 0;
+  if (sampled) close_span(lat, lat.queue_ns);
+  // The fused branch-sequence: every branch NF in declaration order on its
+  // version's packet. Verdicts collect out of band as on the pipelined
+  // envelopes — siblings sharing a version must not clobber one another's
+  // intent on the nil bit.
+  fused_arrivals_.clear();
+  for (std::size_t k = 0; k < nfs.size(); ++k) {
+    const StageNf& meta = nfs[k].meta;
+    Packet* version = versions[plan.nf_version[k]];
+    fused_arrivals_.push_back(MergeArrival{version, meta.version,
+                                           nf_drops(*nfs[k].impl, *version),
+                                           meta.priority, meta.can_drop});
+  }
+  // The whole fused sequence is service time; lat.merges stays untouched
+  // (see finalize_latency).
+  if (sampled) close_span(lat, lat.service_ns);
+
+  Packet* merged = resolve_merge(seg, fused_arrivals_);
+  for (std::size_t v = 2; v < versions.size(); ++v) {
+    if (versions[v] != nullptr) feeder_mag_->release(versions[v]);
+  }
+  // The survivor is always version 1, i.e. `pkt` itself.
+  if (merged == nullptr) {
+    drop_fused(pkt, telemetry::DropReason::kNfVerdict, "rtc:merge");
+  }
+  return merged;
+}
+
+void LivePipeline::run_to_completion(Packet* pkt) {
+  const auto& segs = graph_.segments();
+  for (std::size_t s = 0; s < segs.size(); ++s) {
+    if (segs[s].is_parallel()) {
+      pkt = run_fused_segment(s, pkt);
+      if (pkt == nullptr) return;  // dropped; reason already tagged
+      continue;
+    }
+    // Sequential hop: a direct function call — the whole point.
+    LiveNf& nf = segments_[s][0];
+    pkt->meta().set_mid(segs[s].mid);
+    pkt->meta().set_version(1);
+    if (hop_drops(*nf.impl, *pkt)) {
+      drop_fused(pkt, telemetry::DropReason::kNfVerdict, nf.stage.c_str());
+      return;
+    }
+  }
+  // Delivered: the last mark is "now", as on the pipelined paths.
+  result_.outputs.emplace_back(pkt->data(), pkt->data() + pkt->length());
+  finalize_latency(*pkt, lat_block_.get(), pkt->lat().mark_ns);
+  feeder_mag_->release(pkt);
+  delivered_.increment();
+}
+
 LiveResult LivePipeline::drain() {
-  if (rtc_ != nullptr) return rtc_->drain();
-  if (state_.load(std::memory_order_acquire) != RunState::kRunning) {
+  RunState expected = RunState::kRunning;
+  if (!state_.compare_exchange_strong(expected, RunState::kFinished,
+                                      std::memory_order_acq_rel)) {
     LiveResult bad;
     bad.status = Status::error(
         "LivePipeline::drain(): pipeline is not running (call start() first; "
         "drain() may only be called once)");
     return bad;
   }
+  // Rtc has nothing in flight and no threads: both steps are no-ops.
   while (in_flight_.load(std::memory_order_acquire) != 0) {
     std::this_thread::yield();
   }
-  stop_.store(true, std::memory_order_release);
-  for (auto& seg : segments_) {
-    for (auto& nf : seg) {
-      if (nf.thread.joinable()) nf.thread.join();
-    }
-  }
-  if (merger_thread_.joinable()) merger_thread_.join();
+  stop_workers();
   feeder_mag_->drain();
   feeder_mag_.reset();
-  state_.store(RunState::kFinished, std::memory_order_release);
 
   const std::scoped_lock lock(result_mu_);
+  result_.dropped = dropped_.read();
   return std::move(result_);
 }
 

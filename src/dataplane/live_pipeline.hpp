@@ -1,14 +1,20 @@
-// Live execution mode: the NFP dataplane on real OS threads.
+// Live execution: the NFP dataplane on real OS threads.
 //
 // The simulated-time dataplane (NfpDataplane) is the measurement vehicle;
-// this pipeline is the concurrency proof: the same compiled service graphs
-// run on actual std::threads connected by the lock-free SPSC rings of
-// src/ring — one thread per NF (the paper's one-container-per-core), a
-// classifier thread and a merger thread — with packets really copied,
-// processed and merged under true parallelism.
+// this pipeline runs the same compiled service graphs on real threads, in
+// one of two execution modes (ExecMode below) that share everything but
+// the hand-off: one NF table, one lifecycle, one ingest path, one fanout
+// routine (fanout_plan.hpp), one merge resolution (merge_ops.hpp), one drop
+// taxonomy and one latency finalizer.
+//   * pipelined — one thread per NF (the paper's one-container-per-core)
+//     plus a merger thread, connected by lock-free SPSC burst rings; the
+//     feeding thread admits packets under an in-flight window;
+//   * rtc — the feeding thread walks the graph inline per packet:
+//     sequential hops are direct calls, a parallel segment runs its
+//     branches one after another on their versions and merges at once.
 //
-// The hot path is built on the DPDK idioms of the paper's infrastructure
-// layer (§5, Fig 3):
+// The pipelined hot path is built on the DPDK idioms of the paper's
+// infrastructure layer (§5, Fig 3):
 //   * burst ring I/O — packets move between threads in bursts with one
 //     index publish per burst (SpscRing::push_burst/pop_burst),
 //   * per-thread magazine caches over a lock-free packet pool — alloc,
@@ -20,7 +26,6 @@
 //     MergeTable per parallel segment with fixed-capacity arrival rows,
 //   * batched result delivery — completed outputs and drops are buffered
 //     thread-locally and the result lock is taken once per burst.
-// bench_hotpath_throughput measures the effect.
 #pragma once
 
 #include <array>
@@ -37,6 +42,7 @@
 
 #include "common/status.hpp"
 #include "dataplane/fanout_plan.hpp"
+#include "dataplane/merge_ops.hpp"
 #include "graph/service_graph.hpp"
 #include "nfs/nf.hpp"
 #include "packet/packet_magazine.hpp"
@@ -45,11 +51,10 @@
 #include "ring/spsc_ring.hpp"
 #include "telemetry/flow_observatory.hpp"
 #include "telemetry/latency_observatory.hpp"
+#include "telemetry/owned_counter.hpp"
 #include "telemetry/scalability_profiler.hpp"
 
 namespace nfp {
-
-class RtcExecutor;
 
 namespace telemetry {
 class HealthSampler;
@@ -58,12 +63,11 @@ class Watchdog;
 
 // How the compiled graph executes on the live dataplane:
 //   kPipelined  one thread per NF plus a merger, connected by SPSC burst
-//               rings — the paper's one-container-per-core deployment and
-//               the mode every PR up to now ran exclusively;
+//               rings — the paper's one-container-per-core deployment;
 //   kRtc        fused run-to-completion — the caller's thread walks the
-//               graph inline per packet (RtcExecutor): sequential hops are
-//               direct calls, parallel segments fused branch-sequences
-//               with an inline merge. No rings, no merger thread;
+//               graph inline per packet: sequential hops are direct calls,
+//               parallel segments fused branch-sequences with an inline
+//               merge. No rings, no merger thread;
 //   kAuto       resolved per graph at construction: sequential graphs take
 //               kRtc (a pure win — the rings only added hand-off cost),
 //               graphs with parallel segments keep kPipelined, whose
@@ -132,14 +136,18 @@ class LivePipeline {
   LiveResult run(const std::vector<std::vector<u8>>& frames);
 
   // Streaming ingest, the API the sharded dataplane drives continuously:
-  //   start()  spawn the worker threads (once per pipeline — a second call
-  //            errors, enforcing the old run()-once contract in code);
-  //   feed()   copy one frame in (blocking under the in-flight window and
-  //            pool backpressure); single-ingest-thread discipline — only
-  //            one thread may call feed(), segment-0 rings are SPSC;
+  //   start()  spawn the worker threads, if any (once per pipeline — a
+  //            second call errors, enforcing the run()-once contract);
+  //   feed()   copy one frame in; single-ingest-thread discipline — only
+  //            one thread may call feed(). Pipelined, it blocks under the
+  //            in-flight window and pool backpressure (segment-0 rings are
+  //            SPSC). Rtc, it returns with the packet delivered or dropped
+  //            and tail-drops on a dry pool (kPoolExhausted, returns false):
+  //            the feeding thread is the pool's only allocator, so waiting
+  //            would spin forever;
   //   drain()  wait for every in-flight packet, stop and join the workers,
   //            and hand back the accumulated result.
-  // run() is now a start + feed-loop + drain composition.
+  // run() is a start + feed-loop + drain composition.
   Status start();
   bool feed(std::span<const u8> frame);
   // feed() with the latency-sampling decision made by the caller:
@@ -171,7 +179,9 @@ class LivePipeline {
 
   // Health-instrumentation surface. Workers are indexed NFs-in-graph-order
   // first, then the merger last; all reads are safe from a sampler thread
-  // while run() executes.
+  // while run() executes. An rtc pipeline has no workers (worker_count()
+  // is 0): its caller's thread, whose own heartbeat covers it, does the
+  // work.
   std::size_t worker_count() const;
   std::string worker_name(std::size_t w) const;
   // Steady-clock ns of the worker's last loop iteration; 0 until the worker
@@ -182,8 +192,8 @@ class LivePipeline {
   std::size_t ring_depth_out(std::size_t w) const;  // merger: 0
   std::size_t pool_in_use() const { return pool_.in_use(); }
   std::size_t pool_capacity() const { return pool_.capacity(); }
-  u64 dropped_so_far();
-  u64 delivered_so_far();
+  u64 dropped_so_far() const { return dropped_.read(); }
+  u64 delivered_so_far() const { return delivered_.read(); }
   // Per-reason drop attribution: every path that counts a drop into the
   // result also tags exactly one DropReason, so the sum over reasons
   // equals dropped_so_far() once the pipeline is drained (the flow
@@ -215,9 +225,10 @@ class LivePipeline {
     return affinity_attempts_.load(std::memory_order_relaxed);
   }
   // Scrape-time fold of every thread's cycle buckets plus the pool/ring
-  // contention evidence (zeroed buckets when cycle_accounting is off).
-  // Safe from a profiler/sampler thread while the pipeline runs.
-  telemetry::ShardScalabilitySnapshot scalability_snapshot();
+  // contention evidence (zeroed buckets when cycle_accounting is off, and
+  // in rtc, whose cycles are its caller's). Safe from a profiler/sampler
+  // thread while the pipeline runs.
+  telemetry::ShardScalabilitySnapshot scalability_snapshot() const;
   // Scrape-time fold of every thread's stage-latency histograms plus the
   // current ring occupancy (queue_depth). Zero histograms when
   // latency_sample_every is 0. Safe from an observatory thread while the
@@ -226,6 +237,7 @@ class LivePipeline {
   // Feed-side wait time (in-flight window + pool alloc + segment-0 ring),
   // already inside the snapshot's ring/pool buckets; exposed separately so
   // the sharded dataplane can carve it out of its worker's useful time.
+  // Always 0 in rtc, which never waits.
   u64 feeder_wait_ns() const;
   // Registers ring/pool/heartbeat probes on `sampler` and stall / pool /
   // drop-spike rules on `watchdog` (null to skip). Call before run().
@@ -252,17 +264,17 @@ class LivePipeline {
     u64 out_ns = 0;
   };
 
-  struct LiveNf {
-    StageNf meta;
-    std::unique_ptr<NetworkFunction> impl;
-    // Inbound ring; owned here, fed by the classifier/merger thread.
-    std::unique_ptr<SpscRing<Packet*>> in;
+  // The thread, rings and per-thread telemetry of one pipelined NF.
+  struct NfWorker {
+    explicit NfWorker(std::size_t ring_depth)
+        : in(ring_depth), out(ring_depth) {}
+    // Fed by the feeder, the previous segment's NF or the merger.
+    SpscRing<Packet*> in;
     // Outbound ring to the merger; unused on sequential hops.
-    std::unique_ptr<SpscRing<MergeEnvelope>> out;
+    SpscRing<MergeEnvelope> out;
     std::thread thread;
-    // Heap-allocated: LiveNf is moved into segments_ and atomics can't move.
-    std::unique_ptr<std::atomic<u64>> heartbeat_ns;
-    std::unique_ptr<std::atomic<u64>> processed;
+    std::atomic<u64> heartbeat_ns{0};
+    std::atomic<u64> processed{0};
     // Thread-private cycle buckets; null when cycle_accounting is off.
     std::unique_ptr<telemetry::CycleCounters> cycles;
     // Thread-private stage-latency histograms; null when
@@ -270,12 +282,34 @@ class LivePipeline {
     std::unique_ptr<telemetry::StageLatencyBlock> lat_block;
   };
 
+  struct LiveNf {
+    StageNf meta;
+    std::unique_ptr<NetworkFunction> impl;
+    // Drop-exemplar stage and worker name: "nf:<name>#<id>" pipelined,
+    // "rtc:<name>#<id>" fused.
+    std::string stage;
+    // Pipelined only: an rtc pipeline spawns no threads.
+    std::unique_ptr<NfWorker> worker;
+  };
+
+  bool pipelined() const noexcept {
+    return opts_.exec_mode == ExecMode::kPipelined;
+  }
+
   // Builds a thread's magazine wired to this pipeline's counters.
   PacketMagazine make_magazine();
+
+  // Raises stop_ and joins every NF thread and the merger (none in rtc).
+  void stop_workers();
 
   // Applies opts_.pin_core to the calling pipeline thread, keeping the
   // attempt/success tally behind affinity_applied().
   void maybe_pin_current_thread();
+
+  // Copies the frame into `pkt` and gives it the next pid, the caller's
+  // FlowRef and, when sampled, its ingest span.
+  void admit(Packet* pkt, std::span<const u8> frame, u64 origin_ns,
+             const FlowRef* flow);
 
   void nf_loop(std::size_t seg_idx, std::size_t nf_idx);
   void merger_loop();
@@ -287,14 +321,24 @@ class LivePipeline {
   bool enter_segment(std::size_t seg_idx, Packet* pkt, PacketMagazine& mag,
                      telemetry::CycleAccountant* acct);
 
+  // Rtc: walks the graph from segment 0 to delivery or drop. Owns `pkt`.
+  void run_to_completion(Packet* pkt);
+  // Rtc: runs one parallel segment's branches in declaration order and
+  // merges them; returns the survivor (`pkt`) or nullptr once dropped.
+  Packet* run_fused_segment(std::size_t seg_idx, Packet* pkt);
+  // Rtc: tags, releases and counts one dropped packet.
+  void drop_fused(Packet* pkt, telemetry::DropReason reason,
+                  const char* stage);
+
   // Tags one dropped packet with its reason (relaxed counter) and samples
   // it into the exemplar ring when one is attached. Cold path by
   // definition — dropping is the exception.
   void note_drop(telemetry::DropReason reason, const char* stage,
                  const FlowRef* flow);
 
-  // Flushes a thread-local result batch under one result_mu_ acquisition
-  // and retires the completed packets from the in-flight window.
+  // Pipelined: flushes a thread-local result batch under one result_mu_
+  // acquisition and retires the completed packets from the in-flight
+  // window.
   void commit_batch(std::vector<std::vector<u8>>& outputs, u64 drops,
                     u64 completed);
 
@@ -311,33 +355,32 @@ class LivePipeline {
   LivePipelineOptions opts_;
   WaitPolicy wait_policy_ = WaitPolicy::kOwnCore;
   PacketPool pool_;
-  // Set when the resolved mode is kRtc: the fused executor replaces the
-  // thread/ring machinery below wholesale (segments_ stays empty, no
-  // threads spawn) and every lifecycle/telemetry call delegates to it. The
-  // pool and magazine counters are shared, so health probes read the same
-  // cells in both modes.
-  std::unique_ptr<RtcExecutor> rtc_;
   std::vector<std::vector<LiveNf>> segments_;
   std::vector<FanoutPlan> fanout_;
   std::thread merger_thread_;
   std::atomic<u64> merger_heartbeat_ns_{0};
   std::atomic<u64> merger_merges_{0};
-  // Merger / feed-side accounting blocks; null when accounting is off.
+  // Merger / feed-side accounting blocks; null when accounting is off or
+  // the mode is rtc (its work is the caller's useful time, and it never
+  // waits).
   std::unique_ptr<telemetry::CycleCounters> merger_cycles_;
   std::unique_ptr<telemetry::CycleCounters> feeder_cycles_;
-  // Merger-thread stage-latency block (the merger finalizes every sampled
-  // packet that exits through a parallel segment); null when sampling off.
-  std::unique_ptr<telemetry::StageLatencyBlock> merger_lat_block_;
+  // Stage-latency block of whoever delivers from a merge (the merger
+  // thread) or inline (the rtc feeding thread); null when sampling is off.
+  std::unique_ptr<telemetry::StageLatencyBlock> lat_block_;
   // Backoff::pause calls spent in feed()'s window/alloc waits.
   std::atomic<u64> feeder_spin_total_{0};
+  // Rtc scratch: one arrival per branch of the widest segment, reserved at
+  // construction.
+  std::vector<MergeArrival> fused_arrivals_;
 
   // Aggregated magazine traffic across all pipeline threads.
   std::atomic<u64> mag_refill_total_{0};
   std::atomic<u64> mag_flush_total_{0};
 
   // Streaming lifecycle: kNew --start()--> kRunning --drain()--> kFinished.
-  // The CAS in start() is what turns the documented run-once contract into
-  // an enforced one.
+  // The CASes in start() and drain() turn the documented run-once contract
+  // into an enforced one.
   enum class RunState : int { kNew = 0, kRunning = 1, kFinished = 2 };
   std::atomic<RunState> state_{RunState::kNew};
   // Ingest-thread state; feed() is single-threaded by contract, so these
@@ -350,8 +393,15 @@ class LivePipeline {
 
   std::atomic<bool> stop_{false};
   std::atomic<u64> in_flight_{0};
+  // Delivered frames. Pipelined threads append under result_mu_; rtc's
+  // feeding thread is the only writer and appends without it.
   std::mutex result_mu_;
   LiveResult result_;
+  // Scrape-safe progress: written under result_mu_ when pipelined, by the
+  // feeding thread alone when rtc — one writer at a time either way, so no
+  // per-packet atomic RMW.
+  telemetry::OwnedCounter delivered_;
+  telemetry::OwnedCounter dropped_;
 
   // Drop-reason taxonomy: one relaxed counter per reason (any pipeline
   // thread may drop) plus the optional shared exemplar ring.

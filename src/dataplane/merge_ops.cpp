@@ -1,24 +1,55 @@
 #include "dataplane/merge_ops.hpp"
 
+#include <array>
 #include <cstring>
 
 #include "packet/packet_view.hpp"
 
 namespace nfp {
 
-Packet* apply_merge_operations(
-    const Segment& seg, const std::vector<std::pair<Packet*, u8>>& arrivals) {
-  Packet* base = nullptr;
-  std::vector<Packet*> by_version(
-      static_cast<std::size_t>(seg.num_versions) + 1, nullptr);
-  for (const auto& [pkt, version] : arrivals) {
-    if (version <= seg.num_versions) by_version[version] = pkt;
-    if (version == 1) base = pkt;
+namespace {
+
+// [version] -> that version's packet; versions beyond the metadata field
+// (or the segment) never occur and are ignored.
+using VersionTable = std::array<Packet*, Metadata::kMaxVersion + 1>;
+
+void note_version(VersionTable& by_version, const Segment& seg, Packet* pkt,
+                  u8 version) {
+  if (version < by_version.size() && version <= seg.num_versions) {
+    by_version[version] = pkt;
   }
+}
+
+bool rule_drops(const Segment& seg, std::span<const MergeArrival> arrivals) {
+  if (seg.merge.drop_resolution == DropResolution::kAnyDrop) {
+    for (const MergeArrival& a : arrivals) {
+      if (a.drop_intent) return true;
+    }
+    return false;
+  }
+  bool found = false;
+  i32 best = 0;
+  bool dropped = false;
+  for (const MergeArrival& a : arrivals) {
+    if (!a.can_drop) continue;
+    if (!found || a.priority > best) {
+      found = true;
+      best = a.priority;
+      dropped = a.drop_intent;
+    } else if (a.priority == best) {
+      dropped = dropped || a.drop_intent;
+    }
+  }
+  return dropped;
+}
+
+Packet* merge_onto_base(const Segment& seg, const VersionTable& by_version) {
+  Packet* base = by_version[1];
   if (base == nullptr) return nullptr;
 
   PacketView base_view(*base);
   for (const MergeOp& op : seg.merge.ops) {
+    if (op.src_version >= by_version.size()) continue;
     Packet* src = by_version[op.src_version];
     if (src == nullptr) continue;
     PacketView src_view(*src);
@@ -63,6 +94,27 @@ Packet* apply_merge_operations(
     }
   }
   return base;
+}
+
+}  // namespace
+
+Packet* resolve_merge(const Segment& seg,
+                      std::span<const MergeArrival> arrivals) {
+  if (rule_drops(seg, arrivals)) return nullptr;
+  VersionTable by_version{};
+  for (const MergeArrival& a : arrivals) {
+    note_version(by_version, seg, a.pkt, a.version);
+  }
+  return merge_onto_base(seg, by_version);
+}
+
+Packet* apply_merge_operations(
+    const Segment& seg, const std::vector<std::pair<Packet*, u8>>& arrivals) {
+  VersionTable by_version{};
+  for (const auto& [pkt, version] : arrivals) {
+    note_version(by_version, seg, pkt, version);
+  }
+  return merge_onto_base(seg, by_version);
 }
 
 }  // namespace nfp

@@ -17,26 +17,9 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "dataplane/merge_ops.hpp"
 
 namespace nfp {
-
-class Packet;
-
-// One arrival at the merger: the packet reference plus the sender stage's
-// metadata needed for drop resolution.
-struct MergeArrival {
-  Packet* pkt = nullptr;
-  u8 version = 1;
-  bool drop_intent = false;
-  i32 priority = 0;
-  bool can_drop = false;
-  // Latency-observatory spans reported by the sending NF for sampled
-  // packets (zero otherwise). Carried here because parallel NFs sharing one
-  // packet version must not write the packet's stamp bytes.
-  u64 queue_ns = 0;
-  u64 service_ns = 0;
-  u64 out_ns = 0;  // when the NF pushed this arrival to its out ring
-};
 
 class MergeTable {
  public:

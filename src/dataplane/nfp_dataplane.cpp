@@ -356,11 +356,11 @@ void NfpDataplane::run_nf(std::size_t g, std::size_t seg_idx,
 
   // Parallel stage: forward to the merger (nil packets signal drops, §5.2).
   MergeItem item;
-  item.pkt = pkt;
-  item.version = inst.meta.version;
-  item.drop_intent = verdict == NfVerdict::kDrop;
-  item.priority = inst.meta.priority;
-  item.can_drop = inst.meta.can_drop;
+  item.arrival.pkt = pkt;
+  item.arrival.version = inst.meta.version;
+  item.arrival.drop_intent = verdict == NfVerdict::kDrop;
+  item.arrival.priority = inst.meta.priority;
+  item.arrival.can_drop = inst.meta.can_drop;
   item.sender = &inst.component;
   const SimTime enq_free =
       inst.core.execute(free, config_.costs.ring_enqueue.occ);
@@ -376,7 +376,7 @@ void NfpDataplane::to_merger(std::size_t g, std::size_t seg_idx,
   // Merger agent: hash the immutable PID and steer to an instance (§5.3).
   const SimTime free = agent_core_.execute(t, config_.costs.merger_agent.occ);
   const std::size_t instance = static_cast<std::size_t>(
-      mix64(item.pkt->meta().pid()) % merger_cores_.size());
+      mix64(item.arrival.pkt->meta().pid()) % merger_cores_.size());
   const SimTime handoff = free + config_.costs.merger_agent.delay;
   sim_.schedule_at(handoff, [this, g, seg_idx, instance, item, handoff] {
     merger_arrival(g, seg_idx, instance, item, handoff);
@@ -390,7 +390,7 @@ void NfpDataplane::merger_arrival(std::size_t g, std::size_t seg_idx,
   const SimTime free =
       merger_cores_[instance].execute(t, config_.costs.merge_arrival.occ);
 
-  const u64 pid = item.pkt->meta().pid();
+  const u64 pid = item.arrival.pkt->meta().pid();
   if (tracer_ != nullptr && tracer_->sampled(pid)) {
     // The arrival span carries the *sender* NF's component so the profiler
     // can pair each parallel branch's arrival with its enter/exit spans.
@@ -398,13 +398,13 @@ void NfpDataplane::merger_arrival(std::size_t g, std::size_t seg_idx,
                     item.sender != nullptr
                         ? *item.sender
                         : "merger#" + std::to_string(instance),
-                    item.version);
+                    item.arrival.version);
   }
   const AtKey key{g, seg_idx, pid};
   MergeState& state = at_[instance][key];
-  state.items.push_back(item);
+  state.arrivals.push_back(item.arrival);
   m_at_entries_[instance]->set(static_cast<double>(at_[instance].size()));
-  if (state.items.size() < seg.merge.total_count) return;
+  if (state.arrivals.size() < seg.merge.total_count) return;
 
   MergeState complete = std::move(state);
   at_[instance].erase(key);
@@ -412,39 +412,12 @@ void NfpDataplane::merger_arrival(std::size_t g, std::size_t seg_idx,
                  free + config_.costs.merge_arrival.delay);
 }
 
-void NfpDataplane::drop_all(MergeState& state) {
-  for (const MergeItem& item : state.items) pool_->release(item.pkt);
-  state.items.clear();
-}
-
-Packet* NfpDataplane::apply_merge_ops(const Segment& seg, MergeState& state) {
-  std::vector<std::pair<Packet*, u8>> arrivals;
-  arrivals.reserve(state.items.size());
-  for (const MergeItem& item : state.items) {
-    arrivals.emplace_back(item.pkt, item.version);
-  }
-  return apply_merge_operations(seg, arrivals);
-}
-
 void NfpDataplane::complete_merge(std::size_t g, std::size_t seg_idx,
                                   std::size_t instance, MergeState state,
                                   SimTime t) {
   const Segment& seg = graphs_[g].graph.segments()[seg_idx];
-
-  // Drop resolution (§5.2/§5.3 nil packets; DESIGN.md).
-  bool dropped = false;
-  if (seg.merge.drop_resolution == DropResolution::kAnyDrop) {
-    dropped = std::any_of(state.items.begin(), state.items.end(),
-                          [](const MergeItem& i) { return i.drop_intent; });
-  } else {
-    int best_priority = -1;
-    for (const MergeItem& item : state.items) {
-      if (item.can_drop && item.priority > best_priority) {
-        best_priority = item.priority;
-        dropped = item.drop_intent;
-      }
-    }
-  }
+  // Drop resolution (§5.2/§5.3 nil packets; DESIGN.md) and merge ops.
+  Packet* merged = resolve_merge(seg, state.arrivals);
 
   const SimTime ops_occ = config_.costs.merge_per_op_ns * seg.merge.ops.size();
   const SimTime free = merger_cores_[instance].execute(
@@ -455,34 +428,28 @@ void NfpDataplane::complete_merge(std::size_t g, std::size_t seg_idx,
   ++stats_.merges;
   m_merges_->inc();
   const u64 pid =
-      state.items.empty() ? 0 : state.items.front().pkt->meta().pid();
+      state.arrivals.empty() ? 0 : state.arrivals.front().pkt->meta().pid();
   if (tracer_ != nullptr && tracer_->sampled(pid)) {
     tracer_->record(pid, telemetry::SpanKind::kMergeComplete, free,
                     "merger#" + std::to_string(instance));
   }
 
-  if (dropped) {
+  if (merged == nullptr) {
     ++stats_.dropped_by_nf;
     m_dropped_nf_->inc();
     trace(pid, telemetry::SpanKind::kDrop, free, "merger-drop-resolution");
     log_debug("merger resolved drop for pid=", pid);
-    drop_all(state);
-    return;
-  }
-
-  Packet* merged = apply_merge_ops(seg, state);
-  if (merged == nullptr) {
-    drop_all(state);
+    for (const MergeArrival& a : state.arrivals) pool_->release(a.pkt);
     return;
   }
   // Release every reference except one to the output packet.
   bool kept_one = false;
-  for (const MergeItem& item : state.items) {
-    if (item.pkt == merged && !kept_one) {
+  for (const MergeArrival& a : state.arrivals) {
+    if (a.pkt == merged && !kept_one) {
       kept_one = true;
       continue;
     }
-    pool_->release(item.pkt);
+    pool_->release(a.pkt);
   }
 
   leave_segment(g, seg_idx, merged, free, &merger_cores_[instance], latency,

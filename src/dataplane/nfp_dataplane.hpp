@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/hash.hpp"
+#include "dataplane/merge_ops.hpp"
 #include "graph/service_graph.hpp"
 #include "nfs/nf.hpp"
 #include "packet/packet_pool.hpp"
@@ -147,11 +148,7 @@ class NfpDataplane {
   };
 
   struct MergeItem {
-    Packet* pkt = nullptr;
-    u8 version = 1;
-    bool drop_intent = false;
-    int priority = 0;
-    bool can_drop = false;
+    MergeArrival arrival;
     // Which NF instance produced this arrival (stable component label owned
     // by the NfInstance); merger-arrival spans carry it so the profiler can
     // pair each branch's arrival with its nf-enter/nf-exit.
@@ -159,7 +156,7 @@ class NfpDataplane {
   };
 
   struct MergeState {
-    std::vector<MergeItem> items;
+    std::vector<MergeArrival> arrivals;
   };
 
   // (graph, segment, pid) key into a merger instance's accumulating table.
@@ -184,11 +181,6 @@ class NfpDataplane {
                      SimTime t, sim::SimCore* core, SimTime carry_delay,
                      sim::FifoChannel* channel);
   void output(Packet* pkt, SimTime t);
-  void drop_all(MergeState& state);
-
-  // Applies the segment's merge operations onto the version-1 packet.
-  Packet* apply_merge_ops(const Segment& seg, MergeState& state);
-
   // Resolves the hot-path metric handles against metrics_ (constructor).
   void bind_metrics();
   // Tracer helper: records a span only for sampled packets.

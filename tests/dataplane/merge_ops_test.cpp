@@ -1,7 +1,10 @@
-// Direct tests of the byte-level merge engine (paper §5.3, Fig 6) — the
-// shared core behind both dataplane modes — including a randomized
-// write-graft property check.
+// Direct tests of merge resolution (paper §5.2-§5.3, Fig 6) — the one
+// merge core behind every executor: the byte-level merge engine with a
+// randomized write-graft property check, and the drop rule.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
 
 #include "common/rng.hpp"
 #include "dataplane/merge_ops.hpp"
@@ -150,6 +153,63 @@ TEST(MergeOpsTest, RandomizedFieldGraftsMatchExpectation) {
     pool.release(v1);
     pool.release(v2);
   }
+}
+
+Segment priority_segment() {
+  Segment seg;
+  for (int k = 0; k < 3; ++k) seg.nfs.push_back(StageNf{"nf", k, 1, 0, true});
+  seg.merge.total_count = 3;
+  seg.merge.drop_resolution = DropResolution::kPriority;
+  return seg;
+}
+
+TEST(MergeOpsTest, PriorityTieDropsWhateverTheArrivalOrder) {
+  PacketPool pool(2);
+  Packet* pkt = build_packet(pool, PacketSpec{});
+  const Segment seg = priority_segment();
+  // Three drop-capable branches: two tie at the top priority and disagree,
+  // the third sits below them.
+  std::array<MergeArrival, 3> arrivals{
+      MergeArrival{pkt, 1, /*drop_intent=*/false, 1, true},
+      MergeArrival{pkt, 1, /*drop_intent=*/false, 5, true},
+      MergeArrival{pkt, 1, /*drop_intent=*/true, 5, true}};
+  const auto key_less = [](const MergeArrival& a, const MergeArrival& b) {
+    return a.priority != b.priority ? a.priority < b.priority
+                                    : a.drop_intent < b.drop_intent;
+  };
+  // Same arrivals, every order: the top-priority drop always wins the tie.
+  std::size_t orders = 0;
+  do {
+    EXPECT_EQ(resolve_merge(seg, arrivals), nullptr) << "order " << orders;
+    ++orders;
+  } while (std::next_permutation(arrivals.begin(), arrivals.end(), key_less));
+  EXPECT_EQ(orders, 6u);
+  pool.release(pkt);
+}
+
+TEST(MergeOpsTest, PriorityRuleIgnoresLowerAndNonDropCapableBranches) {
+  PacketPool pool(2);
+  Packet* pkt = build_packet(pool, PacketSpec{});
+  const Segment seg = priority_segment();
+  // The top branch passes; a lower one and a higher but drop-incapable one
+  // would drop. The packet survives, in either order.
+  std::array<MergeArrival, 3> arrivals{
+      MergeArrival{pkt, 1, false, 5, true},
+      MergeArrival{pkt, 1, true, 1, true},
+      MergeArrival{pkt, 1, true, 9, false}};
+  EXPECT_EQ(resolve_merge(seg, arrivals), pkt);
+  std::reverse(arrivals.begin(), arrivals.end());
+  EXPECT_EQ(resolve_merge(seg, arrivals), pkt);
+
+  // Any-drop: one dropping branch kills the packet, whatever its priority.
+  Segment any = seg;
+  any.merge.drop_resolution = DropResolution::kAnyDrop;
+  EXPECT_EQ(resolve_merge(any, arrivals), nullptr);
+  arrivals[0].drop_intent = false;
+  arrivals[1].drop_intent = false;
+  arrivals[2].drop_intent = false;
+  EXPECT_EQ(resolve_merge(any, arrivals), pkt);
+  pool.release(pkt);
 }
 
 }  // namespace

@@ -199,8 +199,8 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values("monitor", "firewall", "lb", "vpn", "ids",
                           "gateway", "nat", "caching", "compression",
                           "shaper")),
-    [](const auto& info) {
-      return std::get<0>(info.param) + "_then_" + std::get<1>(info.param);
+    [](const auto& pair) {
+      return std::get<0>(pair.param) + "_then_" + std::get<1>(pair.param);
     });
 
 }  // namespace
